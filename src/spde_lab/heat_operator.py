@@ -64,8 +64,12 @@ class HeatOperator:
 
     # -- sine transform on the trailing d axes of an array ---------------
 
-    def sine_transform(self, arr: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I along the trailing grid axes (own inverse)."""
+    def sine_transform(self, arr: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Orthonormal DST-I along the trailing grid axes (own inverse).
+
+        overwrite=True lets the FFT path reuse arr's memory; pass it only
+        for a buffer the caller owns and no longer reads.
+        """
         if self._sine_matrix is not None:
             S = self._sine_matrix
             out = arr @ S  # trailing axis; S is symmetric
@@ -73,8 +77,10 @@ class HeatOperator:
                 out = S @ out  # axis -2, batched over leading axes
             return out
         if self.grid.d == 1:
-            return scipy.fft.dst(arr, type=1, norm="ortho", axis=-1)
-        return scipy.fft.dstn(arr, type=1, norm="ortho", axes=(-2, -1))
+            return scipy.fft.dst(arr, type=1, norm="ortho", axis=-1, overwrite_x=overwrite)
+        return scipy.fft.dstn(
+            arr, type=1, norm="ortho", axes=(-2, -1), overwrite_x=overwrite
+        )
 
     # -- spectral multipliers ---------------------------------------------
 
@@ -127,9 +133,16 @@ class HeatOperator:
         output entries above -1e-12 * sup|input| are clamped to zero (the
         semigroup kernel is provably nonnegative); a larger negative entry
         raises PositivityDiagnosticsError.
+
+        When the whole output is >= 0 there is nothing to clamp or flag, so
+        one reduction replaces the per-slice scan. A NaN anywhere fails that
+        test and sends the batch to the full scan, which still clamps the
+        other slices. arr is never modified.
         """
-        out = self.sine_transform(self.sine_transform(arr) * multipliers)
-        if not clamp_nonneg:
+        out = self.sine_transform(arr)
+        out *= multipliers
+        out = self.sine_transform(out, overwrite=True)
+        if not clamp_nonneg or out.size == 0 or out.min() >= 0.0:
             return out
         axes = tuple(range(arr.ndim - self.grid.d, arr.ndim))
         nonneg = np.all(arr >= 0.0, axis=axes, keepdims=True)

@@ -47,7 +47,9 @@ class StepContext:
     """Immutable per-(operator, nonlinearity, tau) data, reused across steps.
 
     Precomputes the semigroup spectral multipliers (LT, SEXP) and the
-    factorized implicit solve (SEM) once; safe to share across workers.
+    factorized implicit solve (SEM) once. It holds no scratch buffers: every
+    step allocates its own temporaries, so one context is safe to share
+    across block threads.
     """
 
     def __init__(self, op: HeatOperator, nl: Nonlinearity, tau: float):
@@ -86,15 +88,26 @@ def _expand_increment(dbeta, d: int):
 
 
 def lt_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
-    """One LT step; returns (next field, number of clamped exponents)."""
+    """One LT step; returns (next field, number of clamped exponents).
+
+    The arithmetic runs in place on fresh temporaries, in the order of
+    u * exp(f db - f^2 tau/2); U, dbeta and the array f returns are only read.
+    """
     db = _expand_increment(dbeta, ctx.op.grid.d)
     F = ctx.nl.f(U)
-    arg = F * db - F * F * (0.5 * ctx.tau)
-    clamped = int(np.count_nonzero(arg > EXP_ARG_MAX))
-    if clamped:
-        arg = np.minimum(arg, EXP_ARG_MAX)
-    W = U * np.exp(arg)
-    return ctx.op.semigroup_array(W, ctx.semigroup_mult), clamped
+    arg = F * db
+    sq = F * F
+    sq *= 0.5 * ctx.tau
+    arg -= sq
+    clamped = 0
+    # a NaN max takes this branch too; the count skips NaN entries and the
+    # clamp keeps them, so one NaN sample cannot stop another's clamp
+    if arg.size and not arg.max() <= EXP_ARG_MAX:
+        clamped = int(np.count_nonzero(arg > EXP_ARG_MAX))
+        np.minimum(arg, EXP_ARG_MAX, out=arg)
+    np.exp(arg, out=arg)
+    arg *= U
+    return ctx.op.semigroup_array(arg, ctx.semigroup_mult), clamped
 
 
 def em_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
@@ -109,7 +122,9 @@ def sem_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]
 
 def sexp_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
     db = _expand_increment(dbeta, ctx.op.grid.d)
-    return ctx.op.semigroup_array(U + ctx.nl.g(U) * db, ctx.semigroup_mult), 0
+    V = ctx.nl.g(U) * db
+    V += U
+    return ctx.op.semigroup_array(V, ctx.semigroup_mult), 0
 
 
 UPDATES = {

@@ -45,8 +45,6 @@ EPS_DOM = 1e-6
 # Below this |v| the ratio g(v)/v is replaced by g'(0) (continuity at 0).
 _NEAR_ZERO = 1e-12
 
-_ARG_MAX = 700.0  # exp overflow guard used by callers
-
 
 @dataclass(frozen=True)
 class Nonlinearity:

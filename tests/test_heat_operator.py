@@ -248,3 +248,93 @@ def test_solve_rejects_nonpositive_tau():
     op = HeatOperator(Grid(1, 4))
     with pytest.raises(ValueError):
         op.solve_implicit(0.0, field(op.grid, np.zeros(3)))
+
+
+# -- semigroup_array pinned against the straightforward implementation ------
+
+
+def reference_semigroup_array(op, arr, multipliers, clamp_nonneg=True):
+    """The full per-slice clamp scan, kept as the oracle for the fast path."""
+    out = op.sine_transform(op.sine_transform(arr) * multipliers)
+    if not clamp_nonneg:
+        return out
+    axes = tuple(range(arr.ndim - op.grid.d, arr.ndim))
+    nonneg = np.all(arr >= 0.0, axis=axes, keepdims=True)
+    if not nonneg.any():
+        return out
+    eps = 1e-12 * np.max(np.abs(arr), axis=axes, keepdims=True)
+    bad = nonneg & (out <= -eps) & (eps > 0)
+    if bad.any():
+        raise PositivityDiagnosticsError("reference: genuine negative")
+    np.copyto(out, 0.0, where=nonneg & (out < 0.0))
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def frozen(a):
+    a = np.array(a, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
+SLICES = ("spike", "mixed", "zero", "nan", "smooth")
+
+
+def mixed_batch(grid, rng):
+    """One slice per case: a nonnegative spike whose semigroup output has
+    roundoff negatives, a mixed-sign field, an all-zero field, a field with
+    one NaN, and a smooth positive field."""
+    spike = np.zeros(grid.shape)
+    spike[(0,) * grid.d] = 1.0
+    mixed = rng.standard_normal(grid.shape)
+    nan = rng.uniform(0.0, 1.0, grid.shape)
+    nan[(1,) * grid.d] = np.nan
+    smooth = rng.uniform(0.5, 1.5, grid.shape)
+    return frozen(np.stack([spike, mixed, np.zeros(grid.shape), nan, smooth]))
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 256), Grid(2, 16)])
+def test_semigroup_array_matches_reference_bitwise(grid):
+    op = HeatOperator(grid)
+    assert (op._sine_matrix is None) == (grid.d == 1)  # DST path, matmul path
+    mult = frozen(op.semigroup_multipliers(2.0**-10))
+    arr = mixed_batch(grid, np.random.default_rng(31))
+    arr_before, mult_before = arr.copy(), mult.copy()
+    raw = reference_semigroup_array(op, arr, mult, clamp_nonneg=False)
+    got = op.semigroup_array(arr, mult)
+    want = reference_semigroup_array(op, arr, mult)
+    assert same_bits(got, want)
+    # the spike slice had roundoff negatives, and they were zeroed
+    i = SLICES.index("spike")
+    assert raw[i].min() < 0.0 and got[i].min() >= 0.0
+    # the mixed-sign slice is left alone; the NaN slice stays NaN
+    assert same_bits(got[SLICES.index("mixed")], raw[SLICES.index("mixed")])
+    assert np.isnan(got[SLICES.index("nan")]).all()
+    assert np.all(got[SLICES.index("zero")] == 0.0)
+    assert same_bits(op.semigroup_array(arr, mult, clamp_nonneg=False), raw)
+    # each slice alone takes the same path as inside the batch
+    for i in range(len(SLICES)):
+        assert same_bits(op.semigroup_array(arr[i], mult), got[i])
+    assert same_bits(arr, arr_before) and same_bits(mult, mult_before)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 256), Grid(2, 16), Grid(1, 64)])
+def test_semigroup_array_zero_size_batch(grid):
+    op = HeatOperator(grid)
+    mult = op.semigroup_multipliers(0.1)
+    empty = np.zeros((0,) + grid.shape)
+    for clamp in (True, False):
+        out = op.semigroup_array(empty, mult, clamp_nonneg=clamp)
+        assert out.shape == empty.shape
+
+
+def test_sine_transform_overwrite_same_bits():
+    rng = np.random.default_rng(37)
+    for grid in (Grid(1, 256), Grid(2, 160), Grid(1, 64)):
+        op = HeatOperator(grid)
+        v = rng.standard_normal((3,) + grid.shape)
+        want = op.sine_transform(v)
+        assert same_bits(op.sine_transform(v.copy(), overwrite=True), want)

@@ -5,18 +5,22 @@ import pytest
 
 from spde_lab.heat_operator import HeatOperator
 from spde_lab.integrators import (
+    EXP_ARG_MAX,
     UPDATES,
     IntegratorKind,
     StepContext,
+    _expand_increment,
     exact_linear_solution,
+    lt_update,
     run_path,
+    sexp_update,
     step_em,
     step_lt,
     step_sem,
     step_sexp,
 )
 from spde_lab.mesh import Grid, GridField, InitialData, sample_initial
-from spde_lab.nonlinearity import from_name, linear, zero
+from spde_lab.nonlinearity import Nonlinearity, NonlinearityKind, from_name, linear, zero
 from spde_lab.noise_paths import sample_path
 
 STEPS = {
@@ -233,3 +237,118 @@ def test_moment_sanity_small():
             rec = run_path(IntegratorKind.LT, ctx, u0, path.increments)
             acc.append(float(np.max(rec.sup_norms**2)))
         assert np.mean(acc) <= 5.0
+
+
+# -- LT and SEXP kernels pinned against the straightforward formulas ----------
+
+
+def reference_lt_update(ctx, U, dbeta):
+    db = _expand_increment(dbeta, ctx.op.grid.d)
+    F = ctx.nl.f(U)
+    arg = F * db - F * F * (0.5 * ctx.tau)
+    clamped = int(np.count_nonzero(arg > EXP_ARG_MAX))
+    if clamped:
+        arg = np.minimum(arg, EXP_ARG_MAX)
+    W = U * np.exp(arg)
+    return ctx.op.semigroup_array(W, ctx.semigroup_mult), clamped
+
+
+def reference_sexp_update(ctx, U, dbeta):
+    db = _expand_increment(dbeta, ctx.op.grid.d)
+    return ctx.op.semigroup_array(U + ctx.nl.g(U) * db, ctx.semigroup_mult), 0
+
+
+KERNELS = [(lt_update, reference_lt_update), (sexp_update, reference_sexp_update)]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def frozen(a):
+    a = np.array(a, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
+def kernel_batch(d, N, B, nl, tau=2.0**-5, seed=41):
+    """Positive batch of B perturbed sine fields and per-sample increments,
+    all read-only so that any write into them raises."""
+    grid = Grid(d, N)
+    ctx = StepContext(HeatOperator(grid), nl, tau)
+    rng = np.random.default_rng(seed)
+    s = np.sin(np.pi * grid.axis_coords())
+    base = s if d == 1 else np.outer(s, s)
+    U = frozen(base * rng.uniform(0.5, 1.5, size=(B,) + grid.shape))
+    db = rng.standard_normal(B) * math.sqrt(tau)
+    db[::7] *= 12.0  # large enough that some SEXP inputs go negative
+    return ctx, U, frozen(db)
+
+
+def check_kernel(update, reference, ctx, U, db):
+    before = [a.copy() for a in (U, db, ctx.semigroup_mult)]
+    got, got_clamped = update(ctx, U, db)
+    want, want_clamped = reference(ctx, U, db)
+    assert same_bits(got, want)
+    assert got_clamped == want_clamped
+    for a, b in zip((U, db, ctx.semigroup_mult), before):
+        assert same_bits(a, b)
+    return got, got_clamped
+
+
+@pytest.mark.parametrize("update,reference", KERNELS)
+@pytest.mark.parametrize("d,N", [(1, 256), (2, 16)])
+def test_update_matches_reference_bitwise(update, reference, d, N):
+    ctx, U, db = kernel_batch(d, N, 50, from_name("rational", 1.0))
+    check_kernel(update, reference, ctx, U, db)
+
+
+@pytest.mark.parametrize("d,N", [(1, 256), (2, 16)])
+def test_lt_update_exponent_clamp_count_matches_reference(d, N):
+    # sample 3 has every exponent far above EXP_ARG_MAX, sample 7 far below,
+    # and sample 5 carries a NaN, whose exponents are never counted
+    ctx, U, db = kernel_batch(d, N, 12, from_name("rational", 1.0))
+    U, db = U.copy(), db.copy()
+    db[3], db[7] = 5000.0, -5000.0
+    U[5][(2,) * d] = np.nan
+    with np.errstate(invalid="ignore"):
+        out, clamped = check_kernel(lt_update, reference_lt_update, ctx, frozen(U), frozen(db))
+    assert clamped == ctx.op.grid.n_interior
+    assert np.isfinite(np.delete(out, 5, axis=0)).all()
+    assert np.delete(out, 5, axis=0).min() >= 0.0
+
+
+@pytest.mark.parametrize("update,reference", KERNELS)
+def test_update_leaves_shared_coefficient_output_alone(update, reference):
+    # a user coefficient may hand back the same array on every call
+    shared = frozen(np.full(63, 0.5))
+    nl = Nonlinearity(
+        NonlinearityKind.CUSTOM, 0.5, g=lambda v: 0.5 * v, f=lambda v: shared,
+        gprime0=0.5, lipschitz_bound=0.5,
+    )
+    ctx, U, db = kernel_batch(1, 64, 4, nl)
+    check_kernel(update, reference, ctx, U, db)
+    assert np.all(shared == 0.5)
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+def test_update_zero_size_batch(kind):
+    for d, N in ((1, 256), (2, 16)):
+        ctx, U, db = kernel_batch(d, N, 0, from_name("rational", 1.0))
+        out, clamped = UPDATES[kind](ctx, U, db)
+        assert out.shape == U.shape and clamped == 0
+
+
+@pytest.mark.parametrize("kind", [IntegratorKind.LT, IntegratorKind.SEXP])
+def test_run_path_full_trajectory_entries_are_distinct(kind):
+    op, ctx = make((1, 256), "rational", 1.0, 2.0**-5)
+    u0 = sample_initial(InitialData.sine_1d(), op.grid)
+    incr = np.random.default_rng(43).normal(0.0, 2.0**-2.5, 6)
+    rec = run_path(kind, ctx, u0, incr, record_mode="full")
+    values = [f.values for f in rec.trajectory]
+    for i, a in enumerate(values):
+        assert not any(np.shares_memory(a, b) for b in values[i + 1:])
+    u = u0
+    for m, db in enumerate(incr):
+        u = STEPS[kind](ctx, u, db)
+        assert same_bits(values[m + 1], u.values)
