@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .heat_operator import HeatOperator
-from .integrators import UPDATES, IntegratorKind, StepContext
+from .integrators import IntegratorKind, StepContext, evolve
 from .mesh import Grid, GridField, InitialData, min_value, sample_initial
 from .nonlinearity import NonlinearityKind, from_name
 from .noise_paths import (
@@ -318,25 +318,22 @@ def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
     if min_value(u0) < 0:
         raise ValueError("positivity census requires nonnegative initial data")
     ctx = StepContext(op, nl, cfg.tau)
-    M = cfg.steps
     level = path_level(cfg.T, cfg.level)
     axes = tuple(range(1, 1 + cfg.d))
-    min0 = min_value(u0)
 
     def run_block(block: range) -> dict[IntegratorKind, tuple[int, int]]:
         incr = sample_increment_batch(cfg.T, level, cfg.master_seed, block)
         checksums = incr.sum(axis=1)
         out = {}
         for kind in cfg.integrators:
-            update = UPDATES[kind]
-            U = _tile_initial(u0, len(block))
-            running_min = np.full(len(block), min0)
+            running_min = np.full(len(block), np.inf)
             finite = np.ones(len(block), dtype=bool)
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                for m in range(M):
-                    U, _ = update(ctx, U, incr[:, m])
-                    running_min = np.minimum(running_min, np.min(U, axis=axes))
-                    finite &= np.isfinite(U).all(axis=axes)
+
+            def track(i: int, U: np.ndarray) -> None:
+                np.minimum(running_min, np.min(U, axis=axes), out=running_min)
+                np.logical_and(finite, np.isfinite(U).all(axis=axes), out=finite)
+
+            evolve(ctx, kind, _tile_initial(u0, len(block)), incr, 1, track)
             positive = finite & (running_min >= 0.0)
             out[kind] = (int(positive.sum()), int((~finite).sum()))
             # all integrators must have consumed the identical increments
@@ -402,21 +399,13 @@ def _run_checkpointed(
     (batch, n_checkpoints+1, *grid) including the initial field, and finite
     flags samples that stayed finite at every checkpoint.
     """
-    B = U.shape[0]
-    M = incr.shape[1]
-    n_cp = M // stride
-    axes = tuple(range(1, U.ndim))
-    cps = np.empty((B, n_cp + 1) + U.shape[1:])
-    cps[:, 0] = U
-    finite = np.ones(B, dtype=bool)
-    update = UPDATES[kind]
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for m in range(M):
-            U, _ = update(ctx, U, incr[:, m])
-            if (m + 1) % stride == 0:
-                i = (m + 1) // stride
-                cps[:, i] = U
-                finite &= np.isfinite(U).all(axis=axes)
+    cps = np.empty((U.shape[0], incr.shape[1] // stride + 1) + U.shape[1:])
+
+    def store(i: int, U: np.ndarray) -> None:
+        cps[:, i // stride] = U
+
+    evolve(ctx, kind, U, incr, stride, store)
+    finite = np.isfinite(cps[:, 1:]).all(axis=tuple(range(1, cps.ndim)))
     return cps, finite
 
 

@@ -14,6 +14,10 @@ provided, each exact in exact arithmetic:
 * implicit solve (I - tau N^2 D^N) x = b (banded Cholesky in 1d,
   spectral divisors in 2d).
 
+Both flows pair a per-tau precomputation with a batched kernel taking it:
+semigroup_multipliers with semigroup_array, implicit_factor with
+solve_implicit_array; apply_semigroup and solve_implicit wrap a pair.
+
 The sine transform is applied either as an explicit orthonormal matrix
 product (small grids) or via the FFT-based DST-I, which with 'ortho'
 normalization is exactly that matrix and is its own inverse.
@@ -91,18 +95,14 @@ class HeatOperator:
             m = np.outer(m, m)
         return m
 
-    def implicit_divisors(self, tau: float) -> np.ndarray:
-        """Eigenvalues of I - tau N^2 D^N, all >= 1."""
+    def implicit_factor(self, tau: float) -> np.ndarray:
+        """I - tau N^2 D^N factored once for solve_implicit_array: the
+        banded Cholesky factor in 1d, the spectral divisors (eigenvalues,
+        all >= 1) in 2d."""
         if self.grid.d == 2:
             return 1.0 - tau * (
                 self.eigenvalues[:, None] + self.eigenvalues[None, :]
             )
-        return 1.0 - tau * self.eigenvalues
-
-    def implicit_banded_factor(self, tau: float) -> np.ndarray:
-        """Cholesky factor of the 1d matrix I - tau N^2 D^N in banded form."""
-        if self.grid.d != 1:
-            raise ValueError("banded factorization is a 1d path")
         n = self.grid.n_interior_per_axis
         c = tau * self.grid.N**2
         ab = np.zeros((2, n))
@@ -158,16 +158,15 @@ class HeatOperator:
         np.copyto(out, 0.0, where=nonneg & (out < 0.0))
         return out
 
-    def solve_implicit_array(self, tau: float, rhs: np.ndarray) -> np.ndarray:
-        """(I - tau N^2 D^N)^{-1} rhs. One-shot path; step loops should
-        factor once via implicit_banded_factor / implicit_divisors."""
+    def solve_implicit_array(self, rhs: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """(I - tau N^2 D^N)^{-1} rhs along the trailing grid axes, with
+        factor = implicit_factor(tau). Each slice is solved on its own, so
+        a non-finite slice leaves the others' bits alone."""
         if self.grid.d == 1:
-            cb = self.implicit_banded_factor(tau)
             flat = rhs.reshape(-1, rhs.shape[-1])
-            x = scipy.linalg.cho_solve_banded((cb, False), flat.T).T
+            x = scipy.linalg.cho_solve_banded((factor, False), flat.T, check_finite=False).T
             return x.reshape(rhs.shape)
-        div = self.implicit_divisors(tau)
-        return self.sine_transform(self.sine_transform(rhs) / div)
+        return self.sine_transform(self.sine_transform(rhs) / factor)
 
     # -- GridField operations ----------------------------------------------
 
@@ -193,12 +192,7 @@ class HeatOperator:
         _check_same_grid(self.grid, b)
         if tau <= 0:
             raise ValueError(f"tau must be > 0, got {tau}")
-        if self.grid.d == 1:
-            cb = self.implicit_banded_factor(tau)
-            x = scipy.linalg.cho_solve_banded((cb, False), b.values)
-        else:
-            div = self.implicit_divisors(tau)
-            x = self.sine_transform(self.sine_transform(b.values_nd()) / div)
+        x = self.solve_implicit_array(b.values_nd(), self.implicit_factor(tau))
         return GridField(self.grid, x.reshape(-1))
 
     # -- dense diagnostic paths ---------------------------------------------

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .heat_operator import HeatOperator
-from .mesh import GridField, min_value, sup_norm
+from .mesh import GridField
 from .nonlinearity import Nonlinearity
-from .noise_paths import SeedRecord
 
 # Exponent guard: |f| <= Lip(g) makes f*db - f^2 tau/2 small at sane
 # parameters; the clamp turns an astronomically rare overflow into data.
@@ -46,10 +45,11 @@ class IntegratorKind(Enum):
 class StepContext:
     """Immutable per-(operator, nonlinearity, tau) data, reused across steps.
 
-    Precomputes the semigroup spectral multipliers (LT, SEXP) and the
-    factorized implicit solve (SEM) once. It holds no scratch buffers: every
-    step allocates its own temporaries, so one context is safe to share
-    across block threads.
+    Holds the two per-tau precomputations of the operator: the semigroup
+    spectral multipliers (LT, SEXP) and the implicit factor (SEM), which
+    the steps hand to op.semigroup_array and op.solve_implicit_array. It
+    holds no scratch buffers: every step allocates its own temporaries, so
+    one context is safe to share across block threads.
     """
 
     def __init__(self, op: HeatOperator, nl: Nonlinearity, tau: float):
@@ -59,21 +59,7 @@ class StepContext:
         self.nl = nl
         self.tau = tau
         self.semigroup_mult = op.semigroup_multipliers(tau)
-        if op.grid.d == 1:
-            self._cho_factor = op.implicit_banded_factor(tau)
-            self._divisors = None
-        else:
-            self._cho_factor = None
-            self._divisors = op.implicit_divisors(tau)
-
-    def solve_implicit_array(self, rhs: np.ndarray) -> np.ndarray:
-        if self._cho_factor is not None:
-            if rhs.ndim == 1:
-                return scipy.linalg.cho_solve_banded((self._cho_factor, False), rhs)
-            flat = rhs.reshape(-1, rhs.shape[-1])
-            out = scipy.linalg.cho_solve_banded((self._cho_factor, False), flat.T).T
-            return out.reshape(rhs.shape)
-        return self.op.sine_transform(self.op.sine_transform(rhs) / self._divisors)
+        self.implicit_factor = op.implicit_factor(tau)
 
 
 def _expand_increment(dbeta, d: int):
@@ -117,7 +103,7 @@ def em_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
 
 def sem_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
     db = _expand_increment(dbeta, ctx.op.grid.d)
-    return ctx.solve_implicit_array(U + ctx.nl.g(U) * db), 0
+    return ctx.op.solve_implicit_array(U + ctx.nl.g(U) * db, ctx.implicit_factor), 0
 
 
 def sexp_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
@@ -133,6 +119,25 @@ UPDATES = {
     IntegratorKind.SEM: sem_update,
     IntegratorKind.SEXP: sexp_update,
 }
+
+
+def evolve(ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarray,
+           stride: int, visit: Callable[[int, np.ndarray], None]) -> int:
+    """Step U along the last axis of incr: one field with incr (M,), or a
+    batch (B, *grid) with incr (B, M). visit(0, U) sees the start field and
+    visit(i, U) the field after every stride-th step i; it must not write
+    into U. Overflow and NaN are data, not warnings. Returns the summed LT
+    exponent-clamp count. UPDATES[kind] is looked up per call."""
+    update = UPDATES[kind]
+    clamped = 0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        visit(0, U)
+        for m in range(incr.shape[-1]):
+            U, c = update(ctx, U, incr[..., m])
+            clamped += c
+            if (m + 1) % stride == 0:
+                visit(m + 1, U)
+    return clamped
 
 
 # -- GridField-level steps ---------------------------------------------------
@@ -186,7 +191,6 @@ class PathRecord:
     diverged: bool = False
     diverged_step: int | None = None
     clamp_events: int = 0
-    seed_record: SeedRecord | None = None
 
     @property
     def positive(self) -> bool:
@@ -201,7 +205,6 @@ def run_path(
     u0: GridField,
     increments: np.ndarray,
     record_mode: str = "summary",
-    seed_record: SeedRecord | None = None,
 ) -> PathRecord:
     """Iterate one integrator over a whole increment sequence.
 
@@ -217,38 +220,36 @@ def run_path(
     if u0.grid != ctx.op.grid:
         raise ValueError("initial field grid does not match the step context")
 
-    update = UPDATES[kind]
-    U = u0.values_nd()
-    running_min = min_value(u0)
     sup_norms = np.empty(M + 1)
-    sup_norms[0] = sup_norm(u0)
-    trajectory = [u0] if record_mode == "full" else None
+    trajectory = [] if record_mode == "full" else None
+    running_min = np.inf
     diverged_step = None
-    clamp_events = 0
+    final = u0.values_nd()
 
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for m in range(M):
-            U, clamped = update(ctx, U, increments[m])
-            clamp_events += clamped
-            if diverged_step is None and not np.isfinite(U).all():
-                diverged_step = m
-            # np.minimum propagates NaN, so a corrupted step poisons the min
-            running_min = float(np.minimum(running_min, np.min(U)))
-            sup_norms[m + 1] = np.max(np.abs(U))
-            if trajectory is not None:
-                trajectory.append(GridField(u0.grid, U.reshape(-1)))
+    def track(i: int, U: np.ndarray) -> None:
+        nonlocal running_min, diverged_step, final
+        if i and diverged_step is None and not np.isfinite(U).all():
+            diverged_step = i - 1
+        # np.minimum propagates NaN, so a corrupted step poisons the min
+        running_min = float(np.minimum(running_min, np.min(U)))
+        sup_norms[i] = np.max(np.abs(U))
+        if trajectory is not None:
+            trajectory.append(GridField(u0.grid, U.reshape(-1)) if i else u0)
+        final = U
 
+    # one path per call, bitwise as the step_* functions: as a row of a larger
+    # batch it would go through gemm, not gemv, on the 1d matmul path
+    clamp_events = evolve(ctx, kind, u0.values_nd(), increments.reshape(-1), 1, track)
     return PathRecord(
         kind=kind,
         step_count=M,
         running_min=running_min,
         sup_norms=sup_norms,
-        final=GridField(u0.grid, U.reshape(-1)),
+        final=GridField(u0.grid, final.reshape(-1)),
         trajectory=trajectory,
         diverged=diverged_step is not None,
         diverged_step=diverged_step,
         clamp_events=clamp_events,
-        seed_record=seed_record,
     )
 
 

@@ -10,6 +10,7 @@ sineplus lam*(sin(v)+v), log1p lam*ln(1+v), zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -174,13 +175,15 @@ def custom(
 
 
 def from_name(name: str, lam: float) -> Nonlinearity:
-    """Build a catalogue entry from its CLI spelling."""
+    """Build a catalogue entry from its CLI spelling; lam must be finite."""
     try:
         kind = CLI_NAMES[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown nonlinearity {name!r}; choose from {sorted(CLI_NAMES)}"
         ) from None
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
     if kind is NonlinearityKind.ZERO:
         return zero()
     return {

@@ -207,3 +207,26 @@ def test_main_bad_output_path_exits_1(tmp_path, capsys):
 
 def test_main_selftest_exits_0():
     assert main(["selftest"]) == 0
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_main_rejects_non_finite_lambda(tmp_path, capsys, lam):
+    out = tmp_path / "c.csv"
+    code = main(["census", "--lambda", lam, "--g", "linear", "--N", "16",
+                 "--samples", "2", "--out", str(out)])
+    assert code == 1
+    assert "lambda must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d,diverged", [(1, 3), (2, 1)])
+def test_main_diverging_sem_samples_are_counted(tmp_path, d, diverged):
+    # the 1d banded solve must carry non-finite samples as data, as 2d does
+    out = tmp_path / "c.csv"
+    code = main(["census", "--lambda", "1e6", "--g", "linear", "--integrators", "sem",
+                 "--d", str(d), "--N", "16", "--samples", "3", "--jobs", "1",
+                 "--out", str(out)])
+    assert code == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert f"# diverged:sem={diverged}" in lines
+    assert lines[-1] == f"sem,linear,1000000.0,{d},16,0.03125,3,0,{diverged}"

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
+from spde_lab import experiments
 from spde_lab.experiments import (
     CENSUS_COLUMNS,
     CONVERGENCE_COLUMNS,
     CensusConfig,
     ConvergenceConfig,
+    _run_checkpointed,
     dyadic_exponent,
     fit_slope,
     mean_square_error_study,
@@ -17,7 +20,10 @@ from spde_lab.experiments import (
     positivity_census,
     write_report,
 )
-from spde_lab.integrators import IntegratorKind
+from spde_lab.heat_operator import HeatOperator
+from spde_lab.integrators import UPDATES, IntegratorKind, StepContext
+from spde_lab.mesh import Grid, InitialData, min_value, sample_initial
+from spde_lab.nonlinearity import from_name
 
 LT, EM, SEM, SEXP = (
     IntegratorKind.LT,
@@ -272,3 +278,92 @@ def test_merge_reports():
     assert merged.config_echo["g"] == "linear+rational"
     with pytest.raises(ValueError):
         merge_reports([a, mean_square_error_study(ConvergenceConfig(g_name="rational", **SMALL_STUDY))])
+
+
+# -- the census loop and _run_checkpointed pinned against the hand-written loops
+
+
+ORACLE_SHAPES = [(1, 256), (1, 16), (2, 16)]
+
+
+def oracle_increments(B, M, poison=np.nan, tau=2.0**-5, seed=23):
+    """Row 1 jumps by 1e300 at step 2, which makes EM overflow within 24
+    steps at every oracle shape; row 2 takes ``poison`` at step 5."""
+    incr = np.random.default_rng(seed).normal(0.0, math.sqrt(tau), (B, M))
+    incr[1, 2] = 1e300
+    incr[2, 5] = poison
+    return incr
+
+
+def oracle_setup(d, N, tau=2.0**-5):
+    grid = Grid(d, N)
+    ctx = StepContext(HeatOperator(grid), from_name("linear", 2.5), tau)
+    u0 = sample_initial(InitialData.sine_1d() if d == 1 else InitialData.sine_product_2d(), grid)
+    return ctx, u0
+
+
+def reference_census_counts(ctx, u0, incr, kinds):
+    """The census block loop as it was before evolve."""
+    B, M = incr.shape
+    axes = tuple(range(1, 1 + u0.grid.d))
+    out = {}
+    for kind in kinds:
+        update = UPDATES[kind]
+        U = np.broadcast_to(u0.values_nd(), (B,) + u0.grid.shape).copy()
+        running_min = np.full(B, min_value(u0))
+        finite = np.ones(B, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for m in range(M):
+                U, _ = update(ctx, U, incr[:, m])
+                running_min = np.minimum(running_min, np.min(U, axis=axes))
+                finite &= np.isfinite(U).all(axis=axes)
+        positive = finite & (running_min >= 0.0)
+        out[kind.value] = (int(positive.sum()), int((~finite).sum()))
+    return out
+
+
+def reference_run_checkpointed(ctx, kind, U, incr, stride):
+    """_run_checkpointed as it was before evolve."""
+    B, M = incr.shape
+    axes = tuple(range(1, U.ndim))
+    cps = np.empty((B, M // stride + 1) + U.shape[1:])
+    cps[:, 0] = U
+    finite = np.ones(B, dtype=bool)
+    update = UPDATES[kind]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for m in range(M):
+            U, _ = update(ctx, U, incr[:, m])
+            if (m + 1) % stride == 0:
+                cps[:, (m + 1) // stride] = U
+                finite &= np.isfinite(U).all(axis=axes)
+    return cps, finite
+
+
+@pytest.mark.parametrize("d,N", ORACLE_SHAPES)
+def test_census_matches_reference_loop(monkeypatch, d, N):
+    cfg = CensusConfig(d=d, N=N, T=1.0, samples=4, master_seed=3)
+    # the census rejects increments whose sums change, and NaN != NaN, so
+    # row 2 takes inf: it makes the comparators' fields NaN one step later
+    incr = oracle_increments(cfg.samples, cfg.steps, poison=np.inf)
+    monkeypatch.setattr(experiments, "sample_increment_batch",
+                        lambda T, level, seed, block: incr[block.start:block.stop].copy())
+    report = positivity_census(cfg, jobs=1)
+    got = {row[0]: (row[7], row[8]) for row in report.rows}
+    ctx, u0 = oracle_setup(d, N)
+    assert got == reference_census_counts(ctx, u0, incr, cfg.integrators)
+    assert got["lt"] == (4, 0)  # the inf exponent is clamped
+    assert got["em"][1] == 2 and got["sem"][1] == got["sexp"][1] == 1
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+@pytest.mark.parametrize("d,N", ORACLE_SHAPES)
+def test_run_checkpointed_matches_reference_loop_bitwise(kind, d, N):
+    ctx, u0 = oracle_setup(d, N)
+    incr = oracle_increments(4, 24)
+    U = np.broadcast_to(u0.values_nd(), (4,) + u0.grid.shape).copy()
+    U.setflags(write=False)
+    cps, finite = _run_checkpointed(ctx, kind, U, incr, 4)
+    want_cps, want_finite = reference_run_checkpointed(ctx, kind, U, incr, 4)
+    assert cps.shape == want_cps.shape and cps.tobytes() == want_cps.tobytes()
+    assert finite.tolist() == want_finite.tolist()
+    assert finite.tolist() == [True, kind is not IntegratorKind.EM, False, True]

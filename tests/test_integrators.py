@@ -10,9 +10,11 @@ from spde_lab.integrators import (
     IntegratorKind,
     StepContext,
     _expand_increment,
+    evolve,
     exact_linear_solution,
     lt_update,
     run_path,
+    sem_update,
     sexp_update,
     step_em,
     step_lt,
@@ -352,3 +354,91 @@ def test_run_path_full_trajectory_entries_are_distinct(kind):
     for m, db in enumerate(incr):
         u = STEPS[kind](ctx, u, db)
         assert same_bits(values[m + 1], u.values)
+
+
+# -- evolve and run_path pinned against the hand-written step loop -------------
+
+
+def reference_run_path(kind, ctx, u0, increments, record_mode="summary"):
+    """The step loop run_path had before evolve, as an oracle."""
+    update = UPDATES[kind]
+    U = u0.values_nd()
+    running_min = float(np.min(u0.values))
+    sup_norms = np.empty(increments.size + 1)
+    sup_norms[0] = float(np.max(np.abs(u0.values)))
+    trajectory = [u0] if record_mode == "full" else None
+    diverged_step = None
+    clamp_events = 0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for m in range(increments.size):
+            U, clamped = update(ctx, U, increments[m])
+            clamp_events += clamped
+            if diverged_step is None and not np.isfinite(U).all():
+                diverged_step = m
+            running_min = float(np.minimum(running_min, np.min(U)))
+            sup_norms[m + 1] = np.max(np.abs(U))
+            if trajectory is not None:
+                trajectory.append(GridField(u0.grid, U.reshape(-1)))
+    return running_min, sup_norms, U.reshape(-1), trajectory, diverged_step, clamp_events
+
+
+def oracle_increments(tau, B, M, seed=17):
+    """B paths of M steps: row 1 jumps by 1e300 at step 2, which clamps LT
+    exponents and makes EM overflow within 24 steps at (1, 256), (1, 16)
+    and (2, 16); row 2 turns NaN at step 5."""
+    incr = np.random.default_rng(seed).normal(0.0, math.sqrt(tau), (B, M))
+    incr[1, 2] = 1e300
+    incr[2, 5] = np.nan
+    return incr
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+@pytest.mark.parametrize("d,N", [(1, 256), (1, 16), (2, 16)])
+def test_run_path_matches_reference_loop_bitwise(kind, d, N):
+    op, ctx = make((d, N), "linear", 2.5, 2.0**-5)
+    u0 = sample_initial(InitialData.sine_1d() if d == 1 else InitialData.sine_product_2d(), op.grid)
+    outcomes = []
+    for incr in oracle_increments(ctx.tau, 3, 24):
+        rec = run_path(kind, ctx, u0, incr, record_mode="full")
+        rmin, sups, final, traj, div_step, clamps = reference_run_path(kind, ctx, u0, incr, "full")
+        assert same_bits(np.float64(rec.running_min), np.float64(rmin))
+        assert same_bits(rec.sup_norms, sups)
+        assert same_bits(rec.final.values, final)
+        assert rec.trajectory[0] is u0 and len(rec.trajectory) == len(traj)
+        assert all(same_bits(a.values, b.values) for a, b in zip(rec.trajectory, traj))
+        assert (rec.diverged_step, rec.clamp_events) == (div_step, clamps)
+        outcomes.append((rec.diverged_step, rec.clamp_events > 0))
+    em = kind is IntegratorKind.EM
+    assert outcomes[0] == (None, False)
+    assert (outcomes[1][0] is not None) == em and outcomes[1][1] == (kind is IntegratorKind.LT)
+    assert outcomes[2] == (5, False)  # the NaN path diverges at its NaN step
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+def test_evolve_looks_up_update_per_call(monkeypatch, kind):
+    op, ctx = make((1, 16), "rational", 1.0, 2.0**-4)
+    calls = []
+    original = UPDATES[kind]
+
+    def counted(ctx, U, dbeta):
+        calls.append(dbeta)
+        return original(ctx, U, dbeta)
+
+    monkeypatch.setitem(UPDATES, kind, counted)
+    incr = np.random.default_rng(5).normal(0.0, 0.25, (2, 8))
+    visits = []
+    evolve(ctx, kind, np.ones((2, 15)), incr, 4, lambda i, U: visits.append(i))
+    assert len(calls) == 8
+    assert visits == [0, 4, 8]
+
+
+@pytest.mark.parametrize("d,N", [(1, 256), (1, 16), (2, 16)])
+def test_sem_update_non_finite_sample_leaves_others_alone(d, N):
+    ctx, U, db = kernel_batch(d, N, 6, from_name("rational", 1.0))
+    bad = U.copy()
+    bad[3][(1,) * d] = np.inf
+    with np.errstate(invalid="ignore"):
+        out, _ = sem_update(ctx, frozen(bad), db)
+    want, _ = sem_update(ctx, U, db)
+    assert not np.isfinite(out[3]).all()
+    assert same_bits(np.delete(out, 3, axis=0), np.delete(want, 3, axis=0))
