@@ -3,7 +3,11 @@
 Subcommands: census, convergence, mesh-study, selftest. Flags override
 config-file values (``--config``, one ``key = value`` per line, ``#``
 comments); the environment variable SPDE_LAB_SEED is the seed fallback.
-Defaults reproduce the reference experiment parameters.
+Only the values the user set reach the run: they override the reference
+experiment parameters, which live in ``CensusConfig`` and
+``ConvergenceConfig`` (and their ``default_2d``). A value of 0 is a value,
+not "unset": ``--lambda 0`` runs without noise, and ``--samples 0`` is
+rejected by the config as it is from a config file.
 
 Exit codes: 0 success, 1 usage/config/I-O error, 2 selftest failure.
 """
@@ -16,8 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from .experiments import (
-    ALL_INTEGRATORS,
-    CONVERGENCE_INTEGRATORS,
+    CENSUS_G,
     CensusConfig,
     ConvergenceConfig,
     dyadic_exponent,
@@ -32,23 +35,6 @@ from .nonlinearity import CLI_NAMES
 from . import selftest as selftest_mod
 
 ENV_SEED = "SPDE_LAB_SEED"
-
-CENSUS_G = ("linear", "rational", "sineplus", "log1p")
-
-_DEFAULTS = {
-    "census": {
-        1: dict(T=2.0, tau="2^-5", N="256", samples=100, lam=2.5),
-        2: dict(T=2.0, tau="2^-5", N="16", samples=100, lam=2.5),
-    },
-    "convergence": {
-        1: dict(T=0.5, N="256", levels="4..12", ref_level=16, samples=150, lam=1.0),
-        2: dict(T=0.5, N="16", levels="4..10", ref_level=14, samples=150, lam=1.0),
-    },
-    "mesh-study": {
-        1: dict(T=0.5, N="16,64,256,1024", levels="4..12", ref_level=16, samples=150, lam=1.5),
-        2: dict(T=0.5, N="16,64,256,1024", levels="4..12", ref_level=16, samples=150, lam=1.5),
-    },
-}
 
 
 class UsageError(Exception):
@@ -159,15 +145,15 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="config file, one key = value per line")
-        p.add_argument("--seed", type=int, help=f"master seed (fallback: ${ENV_SEED}, then 42)")
+        p.add_argument("--seed", help=f"master seed (fallback: ${ENV_SEED}, then 42)")
         p.add_argument("--out", help="output CSV path (default: <subcommand>.csv)")
-        p.add_argument("--jobs", type=int, help="worker threads over sample blocks (default: cores)")
-        p.add_argument("--d", type=int, choices=(1, 2), help="spatial dimension (default 1)")
+        p.add_argument("--jobs", help="worker threads over sample blocks (default: cores)")
+        p.add_argument("--d", help="spatial dimension, 1 or 2 (default 1)")
         p.add_argument("--N", help="subdivisions per axis (default 256 in 1d, 16 in 2d; "
                                    "mesh-study takes a comma list)")
-        p.add_argument("--T", type=float, help="time horizon")
-        p.add_argument("--lambda", dest="lam", type=float, help="noise intensity")
-        p.add_argument("--samples", type=int, help="Monte Carlo sample count")
+        p.add_argument("--T", help="time horizon")
+        p.add_argument("--lambda", help="noise intensity (0: no noise)")
+        p.add_argument("--samples", help="Monte Carlo sample count")
         p.add_argument("--integrators", help="comma list among lt, em, sem, sexp")
 
     p_census = sub.add_parser(
@@ -187,7 +173,7 @@ def _build_parser() -> _Parser:
     add_common(p_conv)
     p_conv.add_argument("--g", help="nonlinearity tag (default rational)")
     p_conv.add_argument("--levels", help="step levels, tau = 2^-level (default 4..12 in 1d, 4..10 in 2d)")
-    p_conv.add_argument("--ref-level", dest="ref_level", type=int,
+    p_conv.add_argument("--ref-level", dest="ref_level",
                         help="LT reference level (default 16 in 1d, 14 in 2d)")
     p_conv.add_argument("--reference", choices=("lt", "exact-linear"),
                         help="reference solution (default lt; exact-linear needs --g linear)")
@@ -200,7 +186,7 @@ def _build_parser() -> _Parser:
     add_common(p_mesh)
     p_mesh.add_argument("--g", help="nonlinearity tag (default rational)")
     p_mesh.add_argument("--levels", help="step levels (default 4..12)")
-    p_mesh.add_argument("--ref-level", dest="ref_level", type=int, help="reference level (default 16)")
+    p_mesh.add_argument("--ref-level", dest="ref_level", help="reference level (default 16)")
 
     p_self = sub.add_parser("selftest", help="run the fast invariant suite (exit 2 on failure)")
     p_self.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
@@ -208,13 +194,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _pick(args, cfg_file: dict, key: str, attr: str | None = None):
-    """Flag value if given, else config-file value (as string), else None."""
-    attr = attr or key
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    return cfg_file.get(key)
+# mesh-study's own settings, read as if given on the command line; the rest,
+# in 2d too (the 1d levels and reference level), is ConvergenceConfig's
+MESH_STUDY_DEFAULTS = {"lambda": "1.5", "integrators": "lt", "N": "16,64,256,1024"}
+
+# key -> (config field, converter) for the values passed on to a config
+_CONFIG_FIELDS = {
+    "d": ("d", int),
+    "N": ("N", int),
+    "T": ("T", float),
+    "lambda": ("lam", float),
+    "samples": ("samples", int),
+    "seed": ("master_seed", int),
+    "tau": ("tau", parse_tau),
+    "levels": ("levels", parse_levels),
+    "ref_level": ("ref_level", int),
+    "integrators": ("integrators", parse_integrators),
+    "reference": ("reference", lambda text: text.replace("-", "_")),
+}
 
 
 def parse_args(argv=None) -> RunSpec:
@@ -228,71 +225,51 @@ def parse_args(argv=None) -> RunSpec:
     for key in cfg_file:
         if key not in _FLAG_KEYS:
             raise UsageError(f"config file: unknown key {key!r}")
+    # what the user set, as text: a flag, else a config-file key; a key
+    # this subcommand has no flag for (levels in a census file) is ignored
+    given = {key: text for key, text in cfg_file.items() if hasattr(args, key)}
+    given.update((key, getattr(args, key)) for key in _FLAG_KEYS
+                 if getattr(args, key, None) is not None)
+    if "seed" not in given and ENV_SEED in os.environ:
+        given["seed"] = os.environ[ENV_SEED]
+    if cmd == "mesh-study":
+        given = {**MESH_STUDY_DEFAULTS, **given}
 
-    d = int(_pick(args, cfg_file, "d") or 1)
-    if d not in (1, 2):
-        raise UsageError(f"--d must be 1 or 2, got {d}")
-    defaults = _DEFAULTS[cmd][d]
+    def value(key, convert):
+        try:
+            return convert(given[key])
+        except ValueError:
+            flag = "--" + key.replace("_", "-")
+            raise UsageError(f"{flag} {given[key]!r} is not a valid value") from None
 
-    seed = _pick(args, cfg_file, "seed")
-    if seed is None:
-        seed = os.environ.get(ENV_SEED)
-    seed = int(seed) if seed is not None else 42
-
-    jobs = _pick(args, cfg_file, "jobs")
-    jobs = int(jobs) if jobs is not None else (os.cpu_count() or 1)
+    jobs = value("jobs", int) if "jobs" in given else (os.cpu_count() or 1)
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
-
-    out = _pick(args, cfg_file, "out") or f"{cmd}.csv"
-    T = float(_pick(args, cfg_file, "T") or defaults["T"])
-    lam = float(_pick(args, cfg_file, "lambda", "lam") or defaults["lam"])
-    samples = int(_pick(args, cfg_file, "samples") or defaults["samples"])
-    N_text = str(_pick(args, cfg_file, "N") or defaults["N"])
+    out = given.get("out", f"{cmd}.csv")
+    mesh_N = None
+    if cmd == "mesh-study":
+        mesh_N = value("N", lambda text: [int(p) for p in text.split(",")])
+        given["N"] = str(mesh_N[0])
+    overrides = {name: value(key, convert)
+                 for key, (name, convert) in _CONFIG_FIELDS.items() if key in given}
+    d = overrides.get("d")
+    if d not in (None, 1, 2):
+        raise UsageError(f"--d must be 1 or 2, got {d}")
 
     try:
         if cmd == "census":
-            g_names = _parse_g(_pick(args, cfg_file, "g") or "all", allow_all=True)
-            tau = parse_tau(str(_pick(args, cfg_file, "tau") or defaults["tau"]))
-            integrators = parse_integrators(
-                _pick(args, cfg_file, "integrators") or "lt,em,sem,sexp"
-            )
-            configs = [
-                CensusConfig(
-                    d=d, T=T, tau=tau, N=int(N_text), g_name=g, lam=lam,
-                    samples=samples, master_seed=seed, integrators=integrators,
-                )
-                for g in g_names
-            ]
+            g_names = _parse_g(given["g"], allow_all=True) if "g" in given else list(CENSUS_G)
+            make = CensusConfig.default_2d if d == 2 else CensusConfig
+            configs = [make(g_name=g, **overrides) for g in g_names]
             return RunSpec("census", census_configs=configs, out=out, jobs=jobs)
-
-        levels = parse_levels(str(_pick(args, cfg_file, "levels") or defaults["levels"]))
-        ref_level = int(_pick(args, cfg_file, "ref_level") or defaults["ref_level"])
-        g_names = _parse_g(_pick(args, cfg_file, "g") or "rational", allow_all=False)
-        if len(g_names) != 1:
-            raise UsageError("--g takes a single tag for convergence studies")
-
-        if cmd == "convergence":
-            reference = (_pick(args, cfg_file, "reference") or "lt").replace("-", "_")
-            integrators = parse_integrators(
-                _pick(args, cfg_file, "integrators") or "lt,sem,sexp"
-            )
-            cfg = ConvergenceConfig(
-                d=d, T=T, N=int(N_text), g_name=g_names[0], lam=lam,
-                samples=samples, master_seed=seed, levels=levels,
-                ref_level=ref_level, integrators=integrators, reference=reference,
-            )
-            return RunSpec("convergence", convergence_config=cfg, out=out, jobs=jobs)
-
-        # mesh-study
-        integrators = parse_integrators(_pick(args, cfg_file, "integrators") or "lt")
-        N_values = [int(p) for p in N_text.split(",")]
-        cfg = ConvergenceConfig(
-            d=d, T=T, N=N_values[0], g_name=g_names[0], lam=lam,
-            samples=samples, master_seed=seed, levels=levels,
-            ref_level=ref_level, integrators=integrators,
-        )
-        return RunSpec("mesh-study", convergence_config=cfg, mesh_N=N_values, out=out, jobs=jobs)
+        if "g" in given:
+            g_names = _parse_g(given["g"], allow_all=False)
+            if len(g_names) != 1:
+                raise UsageError("--g takes a single tag for convergence studies")
+            overrides["g_name"] = g_names[0]
+        make = ConvergenceConfig.default_2d if d == 2 and cmd == "convergence" else ConvergenceConfig
+        cfg = make(**overrides)
+        return RunSpec(cmd, convergence_config=cfg, mesh_N=mesh_N, out=out, jobs=jobs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -17,9 +17,10 @@ count used to process blocks.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ CONVERGENCE_COLUMNS = ("integrator", "g", "lambda", "d", "N", "level", "tau", "r
 
 ALL_INTEGRATORS = (IntegratorKind.LT, IntegratorKind.EM, IntegratorKind.SEM, IntegratorKind.SEXP)
 CONVERGENCE_INTEGRATORS = (IntegratorKind.LT, IntegratorKind.SEM, IntegratorKind.SEXP)
+CENSUS_G = ("linear", "rational", "sineplus", "log1p")
 
 
 def dyadic_exponent(x: float) -> int:
@@ -290,13 +292,41 @@ def _blocks(samples: int) -> list[range]:
     ]
 
 
-def _map_blocks(samples: int, jobs: int, task) -> list:
-    """Run task over sample blocks; results always in block order."""
+def _map_blocks(samples: int, jobs: int, task) -> dict:
+    """Run task over sample blocks and add up the dicts it returns, key by
+    key in block order, so the sums do not depend on ``jobs``."""
     blocks = _blocks(samples)
-    if jobs <= 1 or len(blocks) == 1:
-        return [task(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, blocks))
+    total = {}
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        mapper = pool.map if jobs > 1 and len(blocks) > 1 else map
+        for result in mapper(task, blocks):
+            for key, value in result.items():
+                total[key] = total[key] + value if key in total else value
+    return total
+
+
+def _check_memory(samples: int, jobs: int, fine_level: int, checkpoint_values: int = 0) -> None:
+    """Reject a run whose blocks in flight need more float64 bytes than the
+    machine has, before any of them is allocated. The estimate is a lower
+    bound: per block, the increments (B x 2^fine_level) and, for the
+    studies, two checkpoint arrays of ``checkpoint_values`` per sample."""
+    B = min(samples, BLOCK_SAMPLES)
+    in_flight = max(1, min(jobs, len(_blocks(samples))))
+    need = 8 * B * (2**fine_level + 2 * checkpoint_values) * in_flight
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        held = f"{B} x 2^{fine_level} increments"
+        if checkpoint_values:
+            held += f" and two {B} x {checkpoint_values} checkpoint arrays"
+        raise ValueError(
+            f"run needs at least {need / 1e9:.2f} GB of memory: {in_flight} block(s) in "
+            f"flight, each holding {held}, but the machine has {have / 1e9:.2f} GB"
+        )
+
+
+def _check_study_memory(cfg: ConvergenceConfig, jobs: int, fine_level: int) -> None:
+    M0 = 2 ** path_level(cfg.T, cfg.levels[0])
+    _check_memory(cfg.samples, jobs, fine_level, (M0 + 1) * (cfg.N - 1) ** cfg.d)
 
 
 def _tile_initial(u0: GridField, count: int) -> np.ndarray:
@@ -311,6 +341,8 @@ def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
     """Count paths whose every field (all steps, all grid points) stays
     nonnegative; every integrator consumes the same increments per sample."""
     t_start = time.perf_counter()
+    level = path_level(cfg.T, cfg.level)
+    _check_memory(cfg.samples, jobs, level)
     grid = Grid(cfg.d, cfg.N)
     op = HeatOperator(grid)
     nl = from_name(cfg.g_name, cfg.lam)
@@ -318,10 +350,9 @@ def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
     if min_value(u0) < 0:
         raise ValueError("positivity census requires nonnegative initial data")
     ctx = StepContext(op, nl, cfg.tau)
-    level = path_level(cfg.T, cfg.level)
     axes = tuple(range(1, 1 + cfg.d))
 
-    def run_block(block: range) -> dict[IntegratorKind, tuple[int, int]]:
+    def run_block(block: range) -> dict[tuple[str, IntegratorKind], int]:
         incr = sample_increment_batch(cfg.T, level, cfg.master_seed, block)
         checksums = incr.sum(axis=1)
         out = {}
@@ -335,18 +366,18 @@ def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
 
             evolve(ctx, kind, _tile_initial(u0, len(block)), incr, 1, track)
             positive = finite & (running_min >= 0.0)
-            out[kind] = (int(positive.sum()), int((~finite).sum()))
+            out["positive", kind] = int(positive.sum())
+            out["diverged", kind] = int((~finite).sum())
             # all integrators must have consumed the identical increments
-            if not np.array_equal(incr.sum(axis=1), checksums):
+            if not np.array_equal(incr.sum(axis=1), checksums, equal_nan=True):
                 raise AssertionError("increment sequence was modified during a census run")
         return out
 
-    results = _map_blocks(cfg.samples, jobs, run_block)
+    counts = _map_blocks(cfg.samples, jobs, run_block)
     rows = []
     diverged = {}
     for kind in cfg.integrators:
-        pos = sum(r[kind][0] for r in results)
-        div = sum(r[kind][1] for r in results)
+        pos, div = counts["positive", kind], counts["diverged", kind]
         rows.append(
             (kind.value, cfg.g_name, cfg.lam, cfg.d, cfg.N, cfg.tau, cfg.samples, pos, div)
         )
@@ -418,13 +449,13 @@ def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> Experiment
     points of the root mean square is reported per (integrator, level).
     """
     t_start = time.perf_counter()
+    fine_level = path_level(cfg.T, cfg.finest_level)
+    _check_study_memory(cfg, jobs, fine_level)
     grid = Grid(cfg.d, cfg.N)
     op = HeatOperator(grid)
     nl = from_name(cfg.g_name, cfg.lam)
     u0 = sample_initial(_initial_data(cfg.d), grid)
-    fine_level = path_level(cfg.T, cfg.finest_level)
-    j0 = cfg.levels[0]
-    M0 = 2 ** path_level(cfg.T, j0)  # checkpoint intervals
+    M0 = 2 ** path_level(cfg.T, cfg.levels[0])  # checkpoint intervals
     cp_times = np.arange(M0 + 1) * (cfg.T / M0)
     contexts = {j: StepContext(op, nl, tau_of_level(j)) for j in cfg.levels}
     if cfg.reference == "lt":
@@ -453,8 +484,6 @@ def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> Experiment
             ref_finite = np.ones(B, dtype=bool)
 
         sums = {}
-        used = {}
-        div = {}
         for j in cfg.levels:
             incr_j = coarsen_increments(incr_fine, fine_level, path_level(cfg.T, j))
             stride_j = incr_j.shape[1] // M0
@@ -464,12 +493,11 @@ def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> Experiment
                 )
                 ok = finite & ref_finite
                 diff = cps[ok] - ref_cp[ok]
-                sums[(kind, j)] = np.sum(diff * diff, axis=0)
-                used[(kind, j)] = int(ok.sum())
-                div[(kind, j)] = int(B - ok.sum())
-        return sums, used, div
+                sums["sq", kind, j] = np.sum(diff * diff, axis=0)
+                sums["used", kind, j] = int(ok.sum())
+        return sums
 
-    results = _map_blocks(cfg.samples, jobs, run_block)
+    sums = _map_blocks(cfg.samples, jobs, run_block)
     report = ExperimentReport(
         kind="convergence",
         columns=CONVERGENCE_COLUMNS,
@@ -480,12 +508,9 @@ def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> Experiment
     errors: dict[IntegratorKind, dict[int, float]] = {k: {} for k in cfg.integrators}
     for kind in cfg.integrators:
         for j in cfg.levels:
-            total = sum(r[1][(kind, j)] for r in results)
-            div = sum(r[2][(kind, j)] for r in results)
-            sq = results[0][0][(kind, j)].copy()
-            for r in results[1:]:
-                sq += r[0][(kind, j)]
-            err = math.sqrt(float(np.max(sq)) / total) if total else math.nan
+            total = sums["used", kind, j]
+            div = cfg.samples - total
+            err = math.sqrt(float(np.max(sums["sq", kind, j])) / total) if total else math.nan
             errors[kind][j] = err
             report.rows.append(
                 (kind.value, cfg.g_name, cfg.lam, cfg.d, cfg.N, j, tau_of_level(j), err)
@@ -550,26 +575,22 @@ def mesh_independence_study(
 ) -> ExperimentReport:
     """The convergence study repeated over meshes, each against its own
     reference on the same mesh; a single N reduces to one study."""
+    subs = [replace(cfg, N=int(N)) for N in N_values]
+    for sub in subs:  # reject an oversized mesh before running the first
+        _check_study_memory(sub, jobs, path_level(sub.T, sub.finest_level))
     reports = []
-    for N in N_values:
-        sub = ConvergenceConfig(
-            **{**_config_kwargs(cfg), "N": int(N)}
-        )
+    for sub in subs:
         rep = mean_square_error_study(sub, jobs=jobs)
-        if len(N_values) > 1:
-            rep.slopes = {f"{name}[N={N}]": s for name, s in rep.slopes.items()}
+        if len(subs) > 1:
+            rep.slopes = {f"{name}[N={sub.N}]": s for name, s in rep.slopes.items()}
         reports.append(rep)
     if len(reports) == 1:
         return reports[0]
     merged = merge_reports(reports)
     merged.kind = "mesh_study"
     merged.config_echo = _convergence_echo(cfg)
-    merged.config_echo["N"] = ",".join(str(int(N)) for N in N_values)
+    merged.config_echo["N"] = ",".join(str(sub.N) for sub in subs)
     return merged
-
-
-def _config_kwargs(cfg) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +603,12 @@ def moment_bound_study(cfg: ConvergenceConfig, jobs: int = 1) -> dict[int, np.nd
     Returns, per step level, the array of sup over grid points of
     E|u_m(x)|^2 at the shared checkpoint times (index 0 is the initial
     field); the overall sup is the max of a profile."""
+    fine_level = path_level(cfg.T, max(cfg.levels))
+    _check_study_memory(cfg, jobs, fine_level)
     grid = Grid(cfg.d, cfg.N)
     op = HeatOperator(grid)
     nl = from_name(cfg.g_name, cfg.lam)
     u0 = sample_initial(_initial_data(cfg.d), grid)
-    fine_level = path_level(cfg.T, max(cfg.levels))
     M0 = 2 ** path_level(cfg.T, cfg.levels[0])
     contexts = {j: StepContext(op, nl, tau_of_level(j)) for j in cfg.levels}
 
@@ -607,12 +629,6 @@ def moment_bound_study(cfg: ConvergenceConfig, jobs: int = 1) -> dict[int, np.nd
             sums[j] = np.sum(cps * cps, axis=0)
         return sums
 
-    results = _map_blocks(cfg.samples, jobs, run_block)
+    sums = _map_blocks(cfg.samples, jobs, run_block)
     space_axes = tuple(range(1, 1 + cfg.d))
-    out = {}
-    for j in cfg.levels:
-        total = results[0][j].copy()
-        for r in results[1:]:
-            total += r[j]
-        out[j] = np.max(total, axis=space_axes) / cfg.samples
-    return out
+    return {j: np.max(sums[j], axis=space_axes) / cfg.samples for j in cfg.levels}

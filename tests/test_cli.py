@@ -1,3 +1,6 @@
+import re
+from dataclasses import asdict
+
 import pytest
 
 from spde_lab.cli import (
@@ -230,3 +233,100 @@ def test_main_diverging_sem_samples_are_counted(tmp_path, d, diverged):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert f"# diverged:sem={diverged}" in lines
     assert lines[-1] == f"sem,linear,1000000.0,{d},16,0.03125,3,0,{diverged}"
+
+
+LT, EM, SEM, SEXP = (IntegratorKind.LT, IntegratorKind.EM, IntegratorKind.SEM, IntegratorKind.SEXP)
+CENSUS_1D = dict(d=1, T=2.0, tau=2.0**-5, N=256, lam=2.5, samples=100, master_seed=42,
+                 integrators=(LT, EM, SEM, SEXP))
+CONVERGENCE_1D = dict(d=1, T=0.5, N=256, g_name="rational", lam=1.0, samples=150,
+                      master_seed=42, levels=tuple(range(4, 13)), ref_level=16,
+                      integrators=(LT, SEM, SEXP), reference="lt")
+MESH = dict(CONVERGENCE_1D, N=16, lam=1.5, integrators=(LT,))
+
+
+@pytest.mark.parametrize("cmd,d,want,mesh_N", [
+    ("census", 1, CENSUS_1D, None),
+    ("census", 2, dict(CENSUS_1D, d=2, N=16), None),
+    ("convergence", 1, CONVERGENCE_1D, None),
+    ("convergence", 2, dict(CONVERGENCE_1D, d=2, N=16, levels=tuple(range(4, 11)), ref_level=14),
+     None),
+    # mesh-study keeps the 1d levels and reference level in 2d
+    ("mesh-study", 1, MESH, [16, 64, 256, 1024]),
+    ("mesh-study", 2, dict(MESH, d=2), [16, 64, 256, 1024]),
+])
+def test_parse_args_defaults_table(monkeypatch, cmd, d, want, mesh_N):
+    monkeypatch.delenv("SPDE_LAB_SEED", raising=False)
+    spec = parse_args([cmd, "--d", str(d)])
+    assert spec.out == f"{cmd}.csv" and spec.mesh_N == mesh_N
+    if cmd == "census":
+        assert [c.g_name for c in spec.census_configs] == ["linear", "rational", "sineplus", "log1p"]
+        for cfg in spec.census_configs:
+            assert {k: v for k, v in asdict(cfg).items() if k != "g_name"} == want
+    else:
+        assert asdict(spec.convergence_config) == want
+
+
+@pytest.mark.parametrize("cmd", ["census", "convergence", "mesh-study"])
+def test_lambda_zero_means_no_noise(cmd):
+    spec = parse_args([cmd, "--lambda", "0"])
+    cfgs = spec.census_configs or [spec.convergence_config]
+    assert all(cfg.lam == 0.0 for cfg in cfgs)
+
+
+@pytest.mark.parametrize("cmd,key,text,message", [
+    ("census", "samples", "0", "need at least one sample"),
+    ("convergence", "samples", "0", "need at least one sample"),
+    ("census", "T", "0", "0.0 is not a positive power of two"),
+    ("convergence", "T", "0", "0.0 is not a positive power of two"),
+    ("convergence", "ref-level", "0", "must be coarser than the reference level 0"),
+    ("mesh-study", "ref-level", "0", "must be coarser than the reference level 0"),
+])
+def test_zero_flags_and_file_keys_fail_alike(tmp_path, capsys, cmd, key, text, message):
+    out = tmp_path / "x.csv"
+    assert main([cmd, f"--{key}", text, "--out", str(out)]) == 1
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == from_flag
+    assert message in from_flag and not out.exists()
+
+
+def test_config_key_of_another_subcommand_is_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("levels = 3,4\nref-level = 9\nreference = exact-linear\ntau = 2^-3\n",
+                   encoding="utf-8")
+    (census,) = parse_args(["census", "--config", str(cfg), "--g", "linear"]).census_configs
+    assert census.tau == 2.0**-3
+    mesh = parse_args(["mesh-study", "--config", str(cfg)]).convergence_config
+    assert (mesh.levels, mesh.ref_level, mesh.reference) == ((3, 4), 9, "lt")
+
+
+def test_bad_config_value_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = many\n", encoding="utf-8")
+    with pytest.raises(UsageError, match="--samples 'many' is not a valid value"):
+        parse_args(["census", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["census", "--samples", "many"], "--samples 'many' is not a valid value"),
+    (["census", "--d", "3"], "--d must be 1 or 2, got 3"),
+    (["convergence", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["mesh-study", "--N", "16,x"], "--N '16,x' is not a valid value"),
+])
+def test_bad_flag_value_is_a_usage_error(argv, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--d", "2", "--N", "4096", "--jobs", "1"],
+    ["mesh-study", "--d", "2", "--jobs", "2"],
+])
+def test_main_oversized_run_exits_1_before_allocating(tmp_path, capsys, eight_gb_machine, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "run needs at least" in err and "the machine has 8.59 GB" in err
+    assert not out.exists()

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -367,3 +369,90 @@ def test_run_checkpointed_matches_reference_loop_bitwise(kind, d, N):
     assert cps.shape == want_cps.shape and cps.tobytes() == want_cps.tobytes()
     assert finite.tolist() == want_finite.tolist()
     assert finite.tolist() == [True, kind is not IntegratorKind.EM, False, True]
+
+
+# -- the census increment guard and the block reduction
+
+
+def census_counts(monkeypatch, cfg, incr):
+    """(integrator -> (positive, diverged)) of a census on the given increments."""
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "sample_increment_batch",
+                   lambda T, level, seed, block: incr[block.start:block.stop].copy())
+        report = positivity_census(cfg, jobs=1)
+    return {row[0]: (row[7], row[8]) for row in report.rows}
+
+
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
+def test_census_nan_increment_counts_as_diverged(monkeypatch, d, N):
+    cfg = CensusConfig(d=d, N=N, T=1.0, samples=4, master_seed=3)
+    incr = experiments.sample_increment_batch(cfg.T, path_level(cfg.T, cfg.level), 3, range(4))
+    clean = census_counts(monkeypatch, cfg, incr)
+    alone = census_counts(monkeypatch, replace(cfg, samples=1), incr[1:2])
+    poisoned = incr.copy()
+    poisoned[1, 5] = np.nan
+    got = census_counts(monkeypatch, cfg, poisoned)
+    for kind in cfg.integrators:
+        pos, div = clean[kind.value]
+        pos1, div1 = alone[kind.value]
+        assert got[kind.value] == (pos - pos1, div - div1 + 1), kind
+
+
+def test_census_update_writing_into_increments_raises(monkeypatch):
+    real = UPDATES[SEM]
+
+    def writes_into_db(ctx, U, db):
+        db += 1.0
+        return real(ctx, U, db)
+
+    monkeypatch.setitem(UPDATES, SEM, writes_into_db)
+    with pytest.raises(AssertionError, match="increment sequence was modified"):
+        positivity_census(CensusConfig(N=16, T=1.0, samples=3))
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_map_blocks_adds_up_in_block_order(jobs):
+    parts = {
+        start: np.random.default_rng(start).normal(size=(5, 7)) * 10.0 ** (start % 17)
+        for start in range(0, 230, experiments.BLOCK_SAMPLES)
+    }
+    total = experiments._map_blocks(
+        230, jobs, lambda block: {"sq": parts[block.start].copy(), "n": len(block)}
+    )
+    want = parts[0].copy()
+    for start in sorted(parts)[1:]:
+        want += parts[start]
+    assert total["n"] == 230
+    assert total["sq"].tobytes() == want.tobytes()
+
+
+# -- the up-front memory guard
+
+
+@pytest.mark.parametrize("driver", [mean_square_error_study, moment_bound_study])
+def test_memory_guard_rejects_2d_n4096_study(eight_gb_machine, driver):
+    with pytest.raises(ValueError, match="needs at least 120.74 GB") as exc:
+        driver(ConvergenceConfig.default_2d(N=4096), jobs=1)
+    assert "1 block(s) in flight" in str(exc.value)
+    assert "two 50 x 150921225 checkpoint arrays" in str(exc.value)
+
+
+def test_memory_guard_checks_every_mesh_first(eight_gb_machine):
+    cfg = ConvergenceConfig(d=2, lam=1.5, integrators=(LT,))
+    with pytest.raises(ValueError) as exc:
+        mesh_independence_study(cfg, [16, 64, 256, 1024], jobs=2)
+    msg = str(exc.value)
+    assert "2 block(s) in flight" in msg
+    assert "50 x 2^15 increments and two 50 x 9418761 checkpoint arrays" in msg
+    assert "needs at least 15.10 GB" in msg and "machine has 8.59 GB" in msg
+
+
+def test_memory_guard_rejects_census_increments(eight_gb_machine):
+    message = "4 block(s) in flight, each holding 50 x 2^24 increments, but"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        positivity_census(CensusConfig(tau=2.0**-23, T=2.0, samples=200), jobs=4)
+
+
+def test_memory_guard_passes_runs_that_fit(eight_gb_machine):
+    experiments._check_memory(150, 2, 15, 9 * 255)  # 1d convergence default
+    experiments._check_memory(150, 2, 15, 9 * 255**2)  # 2d mesh-study at N = 256
