@@ -1,12 +1,15 @@
 """Monte Carlo experiment drivers and CSV reports.
 
-Three drivers: a positivity census (share one Brownian path per sample
-across all integrators, count paths whose every field stays nonnegative),
-a mean-square convergence study (couple every step size to the same
+Drivers: a positivity census (share one Brownian path per sample across
+all integrators, count paths whose every field stays nonnegative), a
+mean-square convergence study (couple every step size to the same
 underlying path by dyadic coarsening and measure sup-over-(time, space)
 root-mean-square errors against a fine LT reference or, for linear g, the
-exact semi-discrete solution), and a mesh-independence study (the same
-study repeated over several grids).
+exact semi-discrete solution of integrators.exact_linear_array), a
+mesh-independence study (the same study repeated over several grids), and
+a second-moment study, which is the same coupled study of LT measured
+against the zero field. One block loop, _coupled_sums, serves both
+coupled studies.
 
 All drivers are deterministic functions of (config, master seed): samples
 are generated counter-style, processed in fixed-size blocks, and reduced
@@ -27,9 +30,9 @@ import numpy as np
 
 from . import __version__
 from .heat_operator import HeatOperator
-from .integrators import IntegratorKind, StepContext, evolve
+from .integrators import IntegratorKind, StepContext, evolve, exact_linear_array
 from .mesh import Grid, GridField, InitialData, min_value, sample_initial
-from .nonlinearity import NonlinearityKind, from_name
+from .nonlinearity import Nonlinearity, NonlinearityKind, from_name
 from .noise_paths import (
     MAX_LEVEL,
     RNG_METHOD,
@@ -74,10 +77,6 @@ def path_level(T: float, level: int) -> int:
     if ell > MAX_LEVEL:
         raise ValueError(f"path level {ell} exceeds the cap {MAX_LEVEL}")
     return ell
-
-
-def _initial_data(d: int) -> InitialData:
-    return InitialData.sine_1d() if d == 1 else InitialData.sine_product_2d()
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +161,7 @@ class ConvergenceConfig:
         nl = from_name(self.g_name, self.lam)
         if self.reference == "exact_linear" and nl.kind is not NonlinearityKind.LINEAR:
             raise ValueError("exact_linear reference requires the linear g")
-        path_level(self.T, self.finest_level)
-
-    @property
-    def finest_level(self) -> int:
-        # paths are always sampled at the reference resolution so that a
-        # study's Brownian draws do not depend on the reference mode
-        return self.ref_level
+        path_level(self.T, self.ref_level)
 
     @staticmethod
     def default_2d(**overrides) -> "ConvergenceConfig":
@@ -329,6 +322,13 @@ def _check_study_memory(cfg: ConvergenceConfig, jobs: int, fine_level: int) -> N
     _check_memory(cfg.samples, jobs, fine_level, (M0 + 1) * (cfg.N - 1) ** cfg.d)
 
 
+def _setup(cfg: CensusConfig | ConvergenceConfig) -> tuple[HeatOperator, Nonlinearity, GridField]:
+    """The operator, the nonlinearity and the sine initial data of a run."""
+    grid = Grid(cfg.d, cfg.N)
+    data = InitialData.sine_1d() if cfg.d == 1 else InitialData.sine_product_2d()
+    return HeatOperator(grid), from_name(cfg.g_name, cfg.lam), sample_initial(data, grid)
+
+
 def _tile_initial(u0: GridField, count: int) -> np.ndarray:
     return np.broadcast_to(u0.values_nd(), (count,) + u0.grid.shape).copy()
 
@@ -343,10 +343,7 @@ def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
     t_start = time.perf_counter()
     level = path_level(cfg.T, cfg.level)
     _check_memory(cfg.samples, jobs, level)
-    grid = Grid(cfg.d, cfg.N)
-    op = HeatOperator(grid)
-    nl = from_name(cfg.g_name, cfg.lam)
-    u0 = sample_initial(_initial_data(cfg.d), grid)
+    op, nl, u0 = _setup(cfg)
     if min_value(u0) < 0:
         raise ValueError("positivity census requires nonnegative initial data")
     ctx = StepContext(op, nl, cfg.tau)
@@ -408,17 +405,7 @@ def _census_echo(cfg: CensusConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# mean-square convergence study
-
-
-def _checkpoint_heat_factors(op: HeatOperator, u0: GridField, times: np.ndarray) -> np.ndarray:
-    """e^{t N^2 D^N} u0 for each checkpoint time (sample independent)."""
-    out = np.empty((times.size,) + op.grid.shape)
-    for i, t in enumerate(times):
-        out[i] = u0.values_nd() if t == 0 else op.semigroup_array(
-            u0.values_nd(), op.semigroup_multipliers(float(t))
-        )
-    return out
+# coupled-level studies: mean-square convergence and second moments
 
 
 def _run_checkpointed(
@@ -440,6 +427,66 @@ def _run_checkpointed(
     return cps, finite
 
 
+def _coupled_sums(
+    cfg: ConvergenceConfig, jobs: int, fine_level: int, kinds: Sequence[IntegratorKind],
+    reference: str,
+) -> dict:
+    """The coupled-level Monte Carlo run behind both studies.
+
+    Each sample draws one Brownian path at step level ``fine_level``; every
+    level in cfg.levels runs each of ``kinds`` on a coarsening of it, and
+    its fields at the coarsest level's checkpoint times are compared with
+    ``reference``: "lt" (LT at ``fine_level`` on the same path),
+    "exact_linear" (the exact solution for linear g) or "zero" (the zero
+    field). Returns, per (kind, level), "sq": the squared distances summed
+    over the samples where both fields stayed finite, shape
+    (checkpoints, *grid), and "used": the number of those samples.
+    """
+    path_fine = path_level(cfg.T, fine_level)
+    _check_study_memory(cfg, jobs, path_fine)
+    op, nl, u0 = _setup(cfg)
+    M0 = 2 ** path_level(cfg.T, cfg.levels[0])  # checkpoint intervals
+    cp_times = np.arange(M0 + 1) * (cfg.T / M0)
+    contexts = {j: StepContext(op, nl, tau_of_level(j)) for j in cfg.levels}
+    if reference == "lt":
+        ref_ctx = StepContext(op, nl, tau_of_level(fine_level))
+
+    def run_block(block: range):
+        incr_fine = sample_increment_batch(cfg.T, path_fine, cfg.master_seed, block)
+        B = len(block)
+        stride = incr_fine.shape[1] // M0
+        ref_finite = np.ones(B, dtype=bool)
+        if reference == "lt":
+            ref_cp, ref_finite = _run_checkpointed(
+                ref_ctx, IntegratorKind.LT, _tile_initial(u0, B), incr_fine, stride
+            )
+        elif reference == "exact_linear":
+            betas = np.cumsum(incr_fine, axis=1)[:, stride - 1 :: stride]
+            beta_cp = np.concatenate([np.zeros((B, 1)), betas], axis=1)
+            ref_cp = exact_linear_array(op, u0, cfg.lam, beta_cp, cp_times)
+        else:  # the zero field, broadcast over checkpoints and grid points
+            ref_cp = np.zeros((B,) + (1,) * (1 + cfg.d))
+
+        sums = {}
+        for j in cfg.levels:
+            incr_j = coarsen_increments(incr_fine, path_fine, path_level(cfg.T, j))
+            for kind in kinds:
+                cps, finite = _run_checkpointed(
+                    contexts[j], kind, _tile_initial(u0, B), incr_j, incr_j.shape[1] // M0
+                )
+                ok = finite & ref_finite
+                with np.errstate(over="ignore"):
+                    diff = cps[ok] - ref_cp[ok]
+                    sums["sq", kind, j] = np.sum(diff * diff, axis=0)
+                sums["used", kind, j] = int(ok.sum())
+        return sums
+
+    # a finite field far from the reference squares (or sums) to inf: data,
+    # not a warning. errstate is per thread, so the blocks set their own.
+    with np.errstate(over="ignore"):
+        return _map_blocks(cfg.samples, jobs, run_block)
+
+
 def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> ExperimentReport:
     """Per-level sup-over-(time, space) RMS errors with fitted slopes.
 
@@ -449,55 +496,7 @@ def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> Experiment
     points of the root mean square is reported per (integrator, level).
     """
     t_start = time.perf_counter()
-    fine_level = path_level(cfg.T, cfg.finest_level)
-    _check_study_memory(cfg, jobs, fine_level)
-    grid = Grid(cfg.d, cfg.N)
-    op = HeatOperator(grid)
-    nl = from_name(cfg.g_name, cfg.lam)
-    u0 = sample_initial(_initial_data(cfg.d), grid)
-    M0 = 2 ** path_level(cfg.T, cfg.levels[0])  # checkpoint intervals
-    cp_times = np.arange(M0 + 1) * (cfg.T / M0)
-    contexts = {j: StepContext(op, nl, tau_of_level(j)) for j in cfg.levels}
-    if cfg.reference == "lt":
-        ref_ctx = StepContext(op, nl, tau_of_level(cfg.ref_level))
-    else:
-        heat_factors = _checkpoint_heat_factors(op, u0, cp_times)
-
-    def run_block(block: range):
-        incr_fine = sample_increment_batch(cfg.T, fine_level, cfg.master_seed, block)
-        B = len(block)
-        if cfg.reference == "lt":
-            M_ref = incr_fine.shape[1]
-            ref_cp, ref_finite = _run_checkpointed(
-                ref_ctx, IntegratorKind.LT, _tile_initial(u0, B), incr_fine, M_ref // M0
-            )
-        else:
-            # exact solution for linear g: scalar noise factor times heat flow
-            betas = np.cumsum(incr_fine, axis=1)
-            stride = incr_fine.shape[1] // M0
-            beta_cp = np.concatenate(
-                [np.zeros((B, 1)), betas[:, stride - 1 :: stride]], axis=1
-            )
-            factors = np.exp(cfg.lam * beta_cp - 0.5 * cfg.lam**2 * cp_times)
-            shape_ones = (1,) * cfg.d
-            ref_cp = factors.reshape(factors.shape + shape_ones) * heat_factors
-            ref_finite = np.ones(B, dtype=bool)
-
-        sums = {}
-        for j in cfg.levels:
-            incr_j = coarsen_increments(incr_fine, fine_level, path_level(cfg.T, j))
-            stride_j = incr_j.shape[1] // M0
-            for kind in cfg.integrators:
-                cps, finite = _run_checkpointed(
-                    contexts[j], kind, _tile_initial(u0, B), incr_j, stride_j
-                )
-                ok = finite & ref_finite
-                diff = cps[ok] - ref_cp[ok]
-                sums["sq", kind, j] = np.sum(diff * diff, axis=0)
-                sums["used", kind, j] = int(ok.sum())
-        return sums
-
-    sums = _map_blocks(cfg.samples, jobs, run_block)
+    sums = _coupled_sums(cfg, jobs, cfg.ref_level, cfg.integrators, cfg.reference)
     report = ExperimentReport(
         kind="convergence",
         columns=CONVERGENCE_COLUMNS,
@@ -577,7 +576,7 @@ def mesh_independence_study(
     reference on the same mesh; a single N reduces to one study."""
     subs = [replace(cfg, N=int(N)) for N in N_values]
     for sub in subs:  # reject an oversized mesh before running the first
-        _check_study_memory(sub, jobs, path_level(sub.T, sub.finest_level))
+        _check_study_memory(sub, jobs, path_level(sub.T, sub.ref_level))
     reports = []
     for sub in subs:
         rep = mean_square_error_study(sub, jobs=jobs)
@@ -600,35 +599,14 @@ def mesh_independence_study(
 def moment_bound_study(cfg: ConvergenceConfig, jobs: int = 1) -> dict[int, np.ndarray]:
     """Second-moment profiles for the LT scheme on coupled Brownian paths.
 
-    Returns, per step level, the array of sup over grid points of
-    E|u_m(x)|^2 at the shared checkpoint times (index 0 is the initial
-    field); the overall sup is the max of a profile."""
-    fine_level = path_level(cfg.T, max(cfg.levels))
-    _check_study_memory(cfg, jobs, fine_level)
-    grid = Grid(cfg.d, cfg.N)
-    op = HeatOperator(grid)
-    nl = from_name(cfg.g_name, cfg.lam)
-    u0 = sample_initial(_initial_data(cfg.d), grid)
-    M0 = 2 ** path_level(cfg.T, cfg.levels[0])
-    contexts = {j: StepContext(op, nl, tau_of_level(j)) for j in cfg.levels}
-
-    def run_block(block: range):
-        incr_fine = sample_increment_batch(cfg.T, fine_level, cfg.master_seed, block)
-        sums = {}
-        for j in cfg.levels:
-            incr_j = coarsen_increments(incr_fine, fine_level, path_level(cfg.T, j))
-            cps, finite = _run_checkpointed(
-                contexts[j],
-                IntegratorKind.LT,
-                _tile_initial(u0, len(block)),
-                incr_j,
-                incr_j.shape[1] // M0,
-            )
-            if not finite.all():
-                raise FloatingPointError("LT moment run produced non-finite values")
-            sums[j] = np.sum(cps * cps, axis=0)
-        return sums
-
-    sums = _map_blocks(cfg.samples, jobs, run_block)
+    The coupled study of LT against the zero field, E|u|^2 = E|u - 0|^2,
+    with paths drawn at the finest step level. Returns, per step level, the
+    array of sup over grid points of E|u_m(x)|^2 at the shared checkpoint
+    times (index 0 is the initial field); the overall sup is the max of a
+    profile."""
+    LT = IntegratorKind.LT
+    sums = _coupled_sums(cfg, jobs, max(cfg.levels), (LT,), "zero")
+    if any(sums["used", LT, j] < cfg.samples for j in cfg.levels):
+        raise FloatingPointError("LT moment run produced non-finite values")
     space_axes = tuple(range(1, 1 + cfg.d))
-    return {j: np.max(sums[j], axis=space_axes) / cfg.samples for j in cfg.levels}
+    return {j: np.max(sums["sq", LT, j], axis=space_axes) / cfg.samples for j in cfg.levels}

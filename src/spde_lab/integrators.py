@@ -253,11 +253,19 @@ def run_path(
     )
 
 
+def exact_linear_array(op: HeatOperator, u0: GridField, lam: float, beta, t) -> np.ndarray:
+    """Exact semi-discrete solution for g(v) = lam*v,
+    e^{t N^2 D^N} e^{lam beta(t) - lam^2 t / 2} u0, batched: t is a time or
+    an array of times, beta(t) broadcasts against t, and the result has
+    shape broadcast(beta, t).shape + grid shape."""
+    t = np.asarray(t, dtype=np.float64)
+    heat = np.stack([op.apply_semigroup(float(s), u0).values_nd() for s in t.reshape(-1)])
+    factor = np.exp(lam * np.asarray(beta, dtype=np.float64) - 0.5 * lam**2 * t)
+    return factor.reshape(factor.shape + (1,) * op.grid.d) * heat.reshape(t.shape + op.grid.shape)
+
+
 def exact_linear_solution(
     op: HeatOperator, u0: GridField, lam: float, beta: float, t: float
 ) -> GridField:
-    """Exact semi-discrete solution for g(v) = lam*v at time t:
-    e^{t N^2 D^N} e^{lam beta(t) - lam^2 t / 2} u0."""
-    heat = op.apply_semigroup(t, u0)
-    factor = float(np.exp(lam * beta - 0.5 * lam * lam * t))
-    return GridField(op.grid, factor * heat.values)
+    """exact_linear_array at one time t with beta = beta(t), as a field."""
+    return GridField(op.grid, exact_linear_array(op, u0, lam, beta, t).reshape(-1))

@@ -21,13 +21,6 @@ RNG_METHOD = "philox4x64 keyed (master_seed, sample_index); ziggurat standard_no
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class SeedRecord:
-    master_seed: int
-    sample_index: int
-    method: str = RNG_METHOD
-
-
 @dataclass(frozen=True, eq=False)
 class BrownianPath:
     """2^level i.i.d. N(0, T/2^level) increments over [0, T]."""
@@ -35,7 +28,6 @@ class BrownianPath:
     T: float
     level: int
     increments: np.ndarray
-    seed_record: SeedRecord
 
     def __post_init__(self):
         if self.increments.size != 2**self.level:
@@ -97,7 +89,7 @@ def sample_path(T: float, level: int, master_seed: int, sample_index: int) -> Br
     rng = _generator(master_seed, sample_index)
     tau_min = T / 2**level
     incr = rng.standard_normal(2**level) * np.sqrt(tau_min)
-    return BrownianPath(T, level, incr, SeedRecord(master_seed, sample_index))
+    return BrownianPath(T, level, incr)
 
 
 def sample_increment_batch(

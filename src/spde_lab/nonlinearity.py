@@ -27,15 +27,6 @@ class NonlinearityKind(Enum):
     CUSTOM = "custom"
 
 
-#: CLI spellings of the catalogue tags.
-CLI_NAMES = {
-    "linear": NonlinearityKind.LINEAR,
-    "rational": NonlinearityKind.RATIONAL,
-    "sineplus": NonlinearityKind.SINE_PLUS,
-    "log1p": NonlinearityKind.LOG1P,
-    "zero": NonlinearityKind.ZERO,
-}
-
 # ln(1+v) is extended below v* = -1 + EPS_DOM by its tangent line at v*,
 # keeping g defined, C^1 and Lipschitz on all of R. Iterates of the
 # non-positivity-preserving comparators can land there; such paths already
@@ -62,10 +53,6 @@ class Nonlinearity:
         g0 = float(self.g(np.float64(0.0)))
         if abs(g0) > 1e-14:
             raise ValueError(f"g(0) must vanish, got {g0!r}")
-
-    @property
-    def label(self) -> str:
-        return self.kind.value
 
 
 def eval_g(nl: Nonlinearity, v) -> np.ndarray:
@@ -174,21 +161,24 @@ def custom(
     )
 
 
+#: CLI spellings of the catalogue, each with its builder taking lam.
+CLI_NAMES: dict[str, Callable[[float], Nonlinearity]] = {
+    "linear": linear,
+    "rational": rational,
+    "sineplus": sine_plus,
+    "log1p": log1p,
+    "zero": lambda lam: zero(),
+}
+
+
 def from_name(name: str, lam: float) -> Nonlinearity:
     """Build a catalogue entry from its CLI spelling; lam must be finite."""
     try:
-        kind = CLI_NAMES[name.lower()]
+        build = CLI_NAMES[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown nonlinearity {name!r}; choose from {sorted(CLI_NAMES)}"
         ) from None
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
-    if kind is NonlinearityKind.ZERO:
-        return zero()
-    return {
-        NonlinearityKind.LINEAR: linear,
-        NonlinearityKind.RATIONAL: rational,
-        NonlinearityKind.SINE_PLUS: sine_plus,
-        NonlinearityKind.LOG1P: log1p,
-    }[kind](lam)
+    return build(lam)

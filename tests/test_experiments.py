@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -369,6 +370,136 @@ def test_run_checkpointed_matches_reference_loop_bitwise(kind, d, N):
     assert cps.shape == want_cps.shape and cps.tobytes() == want_cps.tobytes()
     assert finite.tolist() == want_finite.tolist()
     assert finite.tolist() == [True, kind is not IntegratorKind.EM, False, True]
+
+
+# -- the coupled studies pinned against their loops before _coupled_sums
+
+
+def reference_blocks(cfg, level):
+    """(B, increments at path level ``level``) per block, in block order."""
+    for start in range(0, cfg.samples, experiments.BLOCK_SAMPLES):
+        block = range(start, min(start + experiments.BLOCK_SAMPLES, cfg.samples))
+        yield len(block), experiments.sample_increment_batch(cfg.T, level, cfg.master_seed, block)
+
+
+def reference_study_setup(cfg):
+    grid = Grid(cfg.d, cfg.N)
+    op = HeatOperator(grid)
+    nl = from_name(cfg.g_name, cfg.lam)
+    u0 = sample_initial(InitialData.sine_1d() if cfg.d == 1 else InitialData.sine_product_2d(), grid)
+    M0 = 2 ** path_level(cfg.T, cfg.levels[0])
+    contexts = {j: StepContext(op, nl, 2.0**-j) for j in cfg.levels}
+    return op, u0, M0, contexts
+
+
+def tile(u0, B):
+    return np.broadcast_to(u0.values_nd(), (B,) + u0.grid.shape).copy()
+
+
+def reference_moment_profiles(cfg):
+    """moment_bound_study as it was before it became the study against the
+    zero field."""
+    fine_level = path_level(cfg.T, max(cfg.levels))
+    _, u0, M0, contexts = reference_study_setup(cfg)
+    total = {}
+    for B, incr_fine in reference_blocks(cfg, fine_level):
+        for j in cfg.levels:
+            incr_j = experiments.coarsen_increments(incr_fine, fine_level, path_level(cfg.T, j))
+            cps, finite = reference_run_checkpointed(
+                contexts[j], LT, tile(u0, B), incr_j, incr_j.shape[1] // M0
+            )
+            assert finite.all()
+            part = np.sum(cps * cps, axis=0)
+            total[j] = total[j] + part if j in total else part
+    axes = tuple(range(1, 1 + cfg.d))
+    return {j: np.max(total[j], axis=axes) / cfg.samples for j in cfg.levels}
+
+
+def reference_exact_linear_errors(cfg):
+    """(integrator, level) -> rms_sup_error of an exact-linear study, with
+    the exact solution written inline as the study had it."""
+    fine_level = path_level(cfg.T, cfg.ref_level)
+    op, u0, M0, contexts = reference_study_setup(cfg)
+    cp_times = np.arange(M0 + 1) * (cfg.T / M0)
+    heat = np.empty((cp_times.size,) + op.grid.shape)
+    for i, t in enumerate(cp_times):
+        heat[i] = u0.values_nd() if t == 0 else op.semigroup_array(
+            u0.values_nd(), op.semigroup_multipliers(float(t))
+        )
+    sq, used = {}, {}
+    for B, incr_fine in reference_blocks(cfg, fine_level):
+        betas = np.cumsum(incr_fine, axis=1)
+        stride = incr_fine.shape[1] // M0
+        beta_cp = np.concatenate([np.zeros((B, 1)), betas[:, stride - 1 :: stride]], axis=1)
+        factors = np.exp(cfg.lam * beta_cp - 0.5 * cfg.lam**2 * cp_times)
+        ref_cp = factors.reshape(factors.shape + (1,) * cfg.d) * heat
+        for j in cfg.levels:
+            incr_j = experiments.coarsen_increments(incr_fine, fine_level, path_level(cfg.T, j))
+            for kind in cfg.integrators:
+                cps, finite = reference_run_checkpointed(
+                    contexts[j], kind, tile(u0, B), incr_j, incr_j.shape[1] // M0
+                )
+                diff = cps[finite] - ref_cp[finite]
+                part = np.sum(diff * diff, axis=0)
+                key = kind.value, j
+                sq[key] = sq[key] + part if key in sq else part
+                used[key] = used.get(key, 0) + int(finite.sum())
+    return {key: math.sqrt(float(np.max(sq[key])) / used[key]) for key in sq}
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
+def test_moment_study_matches_reference_loop_bitwise(d, N, jobs):
+    cfg = ConvergenceConfig(d=d, N=N, g_name="rational", lam=1.5, levels=(3, 4, 5),
+                            ref_level=8, samples=104, master_seed=3)
+    got = moment_bound_study(cfg, jobs=jobs)
+    want = reference_moment_profiles(cfg)
+    assert list(got) == list(want) == [3, 4, 5]
+    for j in want:
+        assert got[j].shape == want[j].shape and got[j].tobytes() == want[j].tobytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
+def test_exact_linear_study_matches_inline_reference_bitwise(d, N, jobs):
+    # lam**2 != lam*lam in the last bit at 2.759, so the exponent form is pinned too
+    cfg = ConvergenceConfig(d=d, N=N, g_name="linear", lam=2.759, levels=(3, 4, 5), ref_level=7,
+                            samples=104, master_seed=9, reference="exact_linear",
+                            integrators=(LT, SEM, SEXP))
+    rep = mean_square_error_study(cfg, jobs=jobs)
+    got = {(row[0], row[5]): row[7] for row in rep.rows}
+    want = reference_exact_linear_errors(cfg)
+    assert got.keys() == want.keys()
+    assert all(np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes() for k in want)
+    assert not rep.diverged
+
+
+def test_moment_study_non_finite_lt_field_raises(monkeypatch):
+    real = UPDATES[LT]
+
+    def nan_in_first_sample(ctx, U, db):
+        out, clamped = real(ctx, U, db)
+        out[0] = np.nan
+        return out, clamped
+
+    monkeypatch.setitem(UPDATES, LT, nan_in_first_sample)
+    cfg = ConvergenceConfig(g_name="rational", N=16, levels=(3, 4), ref_level=8, samples=4)
+    with pytest.raises(FloatingPointError, match="LT moment run produced non-finite values"):
+        moment_bound_study(cfg)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_study_overflowing_squared_error_is_silent(jobs):
+    # EM stays finite but far from the reference: its squared error sums
+    # to 2.3e118 at level 4 and overflows to inf at level 5, with no
+    # sample counted as diverged and no RuntimeWarning
+    cfg = ConvergenceConfig(N=256, T=2, levels=(4, 5), ref_level=8, lam=3,
+                            integrators=(LT, EM, SEM))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = mean_square_error_study(cfg, jobs=jobs)
+    assert rep.errors_by_integrator()["em"] == {4: 2.325927709443604e118, 5: math.inf}
+    assert not rep.diverged
 
 
 # -- the census increment guard and the block reduction

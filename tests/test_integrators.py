@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spde_lab.heat_operator import HeatOperator
 from spde_lab.integrators import (
@@ -11,6 +13,7 @@ from spde_lab.integrators import (
     StepContext,
     _expand_increment,
     evolve,
+    exact_linear_array,
     exact_linear_solution,
     lt_update,
     run_path,
@@ -163,6 +166,42 @@ def test_lt_linear_exactness_against_analytic():
         beta_T = float(np.sum(incr))
         want = exact_linear_solution(op, u0, 1.0, beta_T, 0.5)
         assert np.allclose(rec.final.values, want.values, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,N", [(1, 16), (1, 256), (2, 8)])
+def test_exact_linear_array_rows_match_exact_linear_solution_bitwise(d, N):
+    op, _ = make((d, N), "linear", 1.0, 1.0)
+    u0 = sample_initial(InitialData.sine_1d() if d == 1 else InitialData.sine_product_2d(), op.grid)
+    rng = np.random.default_rng(8)
+    times = np.array([0.0, 0.125, 0.5, 2.0])
+    betas = rng.normal(0.0, 1.0, (3, times.size))
+    for lam in (1.0, 2.5, 1.3, -0.7):
+        got = exact_linear_array(op, u0, lam, betas, times)
+        assert got.shape == betas.shape + op.grid.shape
+        for b in range(betas.shape[0]):
+            for i, t in enumerate(times):
+                want = exact_linear_solution(op, u0, lam, float(betas[b, i]), float(t))
+                assert same_bits(got[b, i].reshape(-1), want.values)
+
+
+@pytest.mark.parametrize("d,N", [(1, 16), (1, 128), (1, 256), (2, 8), (2, 16)])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(
+    level=st.integers(2, 10),
+    lam=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lt_linear_exactness_property(d, N, level, lam, seed):
+    # for g(v) = lam*v, LT reproduces the exact solution at any step size,
+    # on both sine transform paths, from any nonnegative initial field
+    T = 0.5
+    op, ctx = make((d, N), "linear", lam, 2.0**-level)
+    rng = np.random.default_rng(seed)
+    u0 = GridField(op.grid, rng.uniform(0.0, 1.0, op.grid.n_interior))
+    incr = rng.normal(0.0, math.sqrt(ctx.tau), round(T / ctx.tau))
+    rec = run_path(IntegratorKind.LT, ctx, u0, incr)
+    want = exact_linear_solution(op, u0, lam, float(np.sum(incr)), T)
+    np.testing.assert_allclose(rec.final.values, want.values, rtol=1e-10, atol=1e-12)
 
 
 def test_lt_linear_step_size_independence():
