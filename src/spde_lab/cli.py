@@ -32,7 +32,6 @@ from .experiments import (
 )
 from .integrators import IntegratorKind
 from .nonlinearity import CLI_NAMES
-from . import selftest as selftest_mod
 
 ENV_SEED = "SPDE_LAB_SEED"
 
@@ -147,7 +146,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="config file, one key = value per line")
         p.add_argument("--seed", help=f"master seed (fallback: ${ENV_SEED}, then 42)")
         p.add_argument("--out", help="output CSV path (default: <subcommand>.csv)")
-        p.add_argument("--jobs", help="worker threads over sample blocks (default: cores)")
+        p.add_argument("--jobs", help="worker processes over sample blocks, the parent "
+                                      "included (default: cores)")
         p.add_argument("--d", help="spatial dimension, 1 or 2 (default 1)")
         p.add_argument("--N", help="subdivisions per axis (default 256 in 1d, 16 in 2d; "
                                    "mesh-study takes a comma list)")
@@ -275,7 +275,9 @@ def parse_args(argv=None) -> RunSpec:
 
 
 def _run_selftest() -> int:
-    results = selftest_mod.run_all()
+    from . import selftest  # only this subcommand loads the suite (and scipy)
+
+    results = selftest.run_all()
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
     failed = sum(not r.passed for r in results)

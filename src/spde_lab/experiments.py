@@ -14,15 +14,17 @@ coupled studies.
 All drivers are deterministic functions of (config, master seed): samples
 are generated counter-style, processed in fixed-size blocks, and reduced
 in block order, so reports are byte-identical regardless of the worker
-count used to process blocks.
+count used to process blocks. With more than one worker the blocks run on
+forked processes, the calling process included (see _map_blocks).
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -285,16 +287,62 @@ def _blocks(samples: int) -> list[range]:
     ]
 
 
+def _workers(samples: int, jobs: int) -> int:
+    """Processes that run blocks at once, the calling one included: ``jobs``
+    capped at the block count and at the CPUs this process may use; 1
+    where processes cannot be forked."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, len(_blocks(samples)), cpus))
+
+
+# The task of a forked worker. It comes through fork, not pickling, because
+# the drivers' block closures do not pickle; fork also spares each worker
+# the imports and set-up that a fresh interpreter would repeat.
+_worker_task = None
+
+
+def _adopt_task(task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _run_worker_block(block: range) -> dict:
+    return _worker_task(block)
+
+
 def _map_blocks(samples: int, jobs: int, task) -> dict:
     """Run task over sample blocks and add up the dicts it returns, key by
-    key in block order, so the sums do not depend on ``jobs``."""
+    key in block order, so the sums do not depend on ``jobs``.
+
+    With w = _workers(samples, jobs) > 1, the calling process runs blocks
+    [::w] itself and w - 1 forked workers run the rest; their results come
+    back pickled. A worker's exception is raised here, and a worker that
+    dies raises BrokenProcessPool."""
     blocks = _blocks(samples)
+    w = _workers(samples, jobs)
     total = {}
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        mapper = pool.map if jobs > 1 and len(blocks) > 1 else map
-        for result in mapper(task, blocks):
-            for key, value in result.items():
-                total[key] = total[key] + value if key in total else value
+
+    def add(result: dict) -> None:
+        for key, value in result.items():
+            total[key] = total[key] + value if key in total else value
+
+    if w == 1:
+        for block in blocks:
+            add(task(block))
+        return total
+    pool = ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt_task, initargs=(task,))
+    try:
+        results = pool.map(_run_worker_block, [b for i, b in enumerate(blocks) if i % w])
+        for i, block in enumerate(blocks):
+            add(task(block) if i % w == 0 else next(results))
+    finally:
+        pool.shutdown(cancel_futures=True)  # after an error, skip the blocks not started
     return total
 
 
@@ -304,7 +352,7 @@ def _check_memory(samples: int, jobs: int, fine_level: int, checkpoint_values: i
     bound: per block, the increments (B x 2^fine_level) and, for the
     studies, two checkpoint arrays of ``checkpoint_values`` per sample."""
     B = min(samples, BLOCK_SAMPLES)
-    in_flight = max(1, min(jobs, len(_blocks(samples))))
+    in_flight = _workers(samples, jobs)
     need = 8 * B * (2**fine_level + 2 * checkpoint_values) * in_flight
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -482,7 +530,8 @@ def _coupled_sums(
         return sums
 
     # a finite field far from the reference squares (or sums) to inf: data,
-    # not a warning. errstate is per thread, so the blocks set their own.
+    # not a warning. The blocks set their own errstate; this one covers the
+    # block sums in _map_blocks, and forked workers inherit it.
     with np.errstate(over="ignore"):
         return _map_blocks(cfg.samples, jobs, run_block)
 

@@ -21,13 +21,15 @@ solve_implicit_array; apply_semigroup and solve_implicit wrap a pair.
 The sine transform is applied either as an explicit orthonormal matrix
 product (small grids) or via the FFT-based DST-I, which with 'ortho'
 normalization is exactly that matrix and is its own inverse.
+
+scipy is imported only by the calls that use it: scipy.fft when an
+operator on the DST path is built, scipy.linalg by the 1d implicit solve
+and dense_semigroup.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .mesh import Grid, GridField
 
@@ -64,7 +66,10 @@ class HeatOperator:
             )
             self._sine_matrix.setflags(write=False)
         else:
+            import scipy.fft
+
             self._sine_matrix = None
+            self._dst = scipy.fft.dst if grid.d == 1 else scipy.fft.dstn
 
     # -- sine transform on the trailing d axes of an array ---------------
 
@@ -81,10 +86,8 @@ class HeatOperator:
                 out = S @ out  # axis -2, batched over leading axes
             return out
         if self.grid.d == 1:
-            return scipy.fft.dst(arr, type=1, norm="ortho", axis=-1, overwrite_x=overwrite)
-        return scipy.fft.dstn(
-            arr, type=1, norm="ortho", axes=(-2, -1), overwrite_x=overwrite
-        )
+            return self._dst(arr, type=1, norm="ortho", axis=-1, overwrite_x=overwrite)
+        return self._dst(arr, type=1, norm="ortho", axes=(-2, -1), overwrite_x=overwrite)
 
     # -- spectral multipliers ---------------------------------------------
 
@@ -103,6 +106,8 @@ class HeatOperator:
             return 1.0 - tau * (
                 self.eigenvalues[:, None] + self.eigenvalues[None, :]
             )
+        import scipy.linalg
+
         n = self.grid.n_interior_per_axis
         c = tau * self.grid.N**2
         ab = np.zeros((2, n))
@@ -163,6 +168,8 @@ class HeatOperator:
         factor = implicit_factor(tau). Each slice is solved on its own, so
         a non-finite slice leaves the others' bits alone."""
         if self.grid.d == 1:
+            import scipy.linalg
+
             flat = rhs.reshape(-1, rhs.shape[-1])
             x = scipy.linalg.cho_solve_banded((factor, False), flat.T, check_finite=False).T
             return x.reshape(rhs.shape)
@@ -220,6 +227,8 @@ class HeatOperator:
         agrees with the spectral path to 1e-10 (alternative construction)."""
         if self.grid.n_interior_per_axis > 2**8:
             raise ValueError("dense semigroup capped at N = 2^8 per axis")
+        import scipy.linalg
+
         E = scipy.linalg.expm(tau * self.dense_matrix())
         np.copyto(E, 0.0, where=E < 0.0)
         return E

@@ -47,9 +47,7 @@ class StepContext:
 
     Holds the two per-tau precomputations of the operator: the semigroup
     spectral multipliers (LT, SEXP) and the implicit factor (SEM), which
-    the steps hand to op.semigroup_array and op.solve_implicit_array. It
-    holds no scratch buffers: every step allocates its own temporaries, so
-    one context is safe to share across block threads.
+    the steps hand to op.semigroup_array and op.solve_implicit_array.
     """
 
     def __init__(self, op: HeatOperator, nl: Nonlinearity, tau: float):

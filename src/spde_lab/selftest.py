@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .heat_operator import HeatOperator
 from .integrators import IntegratorKind, StepContext, run_path, step_em, step_lt, step_sem, step_sexp
@@ -76,6 +75,8 @@ def check_contraction() -> CheckResult:
 
 
 def check_spectral_vs_dense_expm() -> CheckResult:
+    import scipy.linalg
+
     rng = np.random.default_rng(104)
     worst = 0.0
     for grid in [Grid(1, N) for N in range(2, 9)] + [Grid(2, N) for N in (2, 3, 5, 8)]:

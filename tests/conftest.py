@@ -15,3 +15,11 @@ def eight_gb_machine(monkeypatch):
         raise RuntimeError("the memory guard let an oversized run start")
 
     monkeypatch.setattr(experiments, "sample_increment_batch", no_increments)
+
+
+@pytest.fixture
+def four_cpu_machine(monkeypatch):
+    """Pin the CPUs this process may use at 4, so the worker cap (and the
+    memory guard's blocks in flight) does not depend on the host."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)

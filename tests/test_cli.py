@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
+from spde_lab import experiments
 from spde_lab.cli import (
     UsageError,
     main,
@@ -324,9 +325,29 @@ def test_bad_flag_value_is_a_usage_error(argv, message):
     ["convergence", "--d", "2", "--N", "4096", "--jobs", "1"],
     ["mesh-study", "--d", "2", "--jobs", "2"],
 ])
-def test_main_oversized_run_exits_1_before_allocating(tmp_path, capsys, eight_gb_machine, argv):
+def test_main_oversized_run_exits_1_before_allocating(tmp_path, capsys, eight_gb_machine,
+                                                     four_cpu_machine, argv):
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "run needs at least" in err and "the machine has 8.59 GB" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_main_block_error_exits_1_at_any_jobs(tmp_path, capsys, monkeypatch, four_cpu_machine, jobs):
+    # block 50 runs on a forked worker at two processes, in process at one
+    real = experiments.sample_increment_batch
+
+    def fails_on_block_50(T, level, seed, block):
+        if block.start == 50:
+            raise ValueError("increments of block 50 are unavailable")
+        return real(T, level, seed, block)
+
+    monkeypatch.setattr(experiments, "sample_increment_batch", fails_on_block_50)
+    out = tmp_path / "c.csv"
+    argv = ["census", "--g", "linear", "--N", "16", "--T", "0.25", "--samples", "150",
+            "--jobs", jobs, "--out", str(out)]
+    assert main(argv) == 1
+    assert "spde-lab: error: increments of block 50 are unavailable" in capsys.readouterr().err
     assert not out.exists()

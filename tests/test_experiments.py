@@ -1,6 +1,9 @@
 import math
+import multiprocessing
+import os
 import re
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +26,7 @@ from spde_lab.experiments import (
     positivity_census,
     write_report,
 )
-from spde_lab.heat_operator import HeatOperator
+from spde_lab.heat_operator import HeatOperator, PositivityDiagnosticsError
 from spde_lab.integrators import UPDATES, IntegratorKind, StepContext
 from spde_lab.mesh import Grid, InitialData, min_value, sample_initial
 from spde_lab.nonlinearity import from_name
@@ -557,6 +560,99 @@ def test_map_blocks_adds_up_in_block_order(jobs):
     assert total["sq"].tobytes() == want.tobytes()
 
 
+def pid_task(block):
+    return {"starts": [block.start], "pids": [os.getpid()]}
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+
+
+@needs_fork
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+def test_map_blocks_parent_runs_every_wth_block(four_cpu_machine, jobs):
+    for n_blocks in range(1, 8):
+        samples = experiments.BLOCK_SAMPLES * n_blocks - 7  # a short last block
+        total = experiments._map_blocks(samples, jobs, pid_task)
+        w = min(jobs, n_blocks)
+        assert total["starts"] == [b.start for b in experiments._blocks(samples)]
+        in_parent = [pid == os.getpid() for pid in total["pids"]]
+        assert in_parent == [i % w == 0 for i in range(n_blocks)], (jobs, n_blocks)
+        assert len(set(total["pids"])) <= w  # a worker may take several blocks
+
+
+class FakePool:
+    """Records the worker count it is asked for and runs the blocks in
+    process, starting nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        FakePool.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def map(self, func, iterable):
+        return map(func, iterable)
+
+    def shutdown(self, cancel_futures):
+        pass
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakePool.sizes = []
+    monkeypatch.setattr(experiments.multiprocessing, "get_all_start_methods", lambda: ["fork"])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    return FakePool.sizes
+
+
+def test_worker_count_is_capped_at_the_cpus(four_cpu_machine, eight_gb_machine, fake_pool):
+    total = experiments._map_blocks(250_000, 5000, lambda block: {"n": len(block)})
+    assert total["n"] == 250_000
+    assert fake_pool == [3]  # four processes: the parent and three workers
+    # the memory guard counts the same blocks in flight
+    with pytest.raises(ValueError, match=re.escape("4 block(s) in flight")):
+        experiments._check_memory(250_000, 5000, 24)
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [ValueError, PositivityDiagnosticsError])
+def test_worker_exception_reaches_the_caller(four_cpu_machine, error):
+    def task(block):
+        if block.start == 50:  # the first worker block at two processes
+            raise error(f"block {block.start} failed")
+        return {"n": len(block)}
+
+    with pytest.raises(error, match="^block 50 failed$"):
+        experiments._map_blocks(150, 2, task)
+
+
+@needs_fork
+def test_dead_worker_fails_the_run(four_cpu_machine):
+    parent = os.getpid()
+
+    def task(block):
+        if block.start == 50 and os.getpid() != parent:
+            os._exit(3)
+        return {"n": len(block)}
+
+    with pytest.raises(BrokenProcessPool):
+        experiments._map_blocks(150, 2, task)
+
+
+def test_without_fork_blocks_run_in_process(monkeypatch, four_cpu_machine):
+    monkeypatch.setattr(experiments.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+    def no_pool(*args):
+        raise AssertionError("a pool was started without fork")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    total = experiments._map_blocks(200, 4, pid_task)
+    assert total["pids"] == [os.getpid()] * 4
+    assert total["starts"] == [0, 50, 100, 150]
+
+
 # -- the up-front memory guard
 
 
@@ -568,7 +664,7 @@ def test_memory_guard_rejects_2d_n4096_study(eight_gb_machine, driver):
     assert "two 50 x 150921225 checkpoint arrays" in str(exc.value)
 
 
-def test_memory_guard_checks_every_mesh_first(eight_gb_machine):
+def test_memory_guard_checks_every_mesh_first(eight_gb_machine, four_cpu_machine):
     cfg = ConvergenceConfig(d=2, lam=1.5, integrators=(LT,))
     with pytest.raises(ValueError) as exc:
         mesh_independence_study(cfg, [16, 64, 256, 1024], jobs=2)
@@ -578,7 +674,7 @@ def test_memory_guard_checks_every_mesh_first(eight_gb_machine):
     assert "needs at least 15.10 GB" in msg and "machine has 8.59 GB" in msg
 
 
-def test_memory_guard_rejects_census_increments(eight_gb_machine):
+def test_memory_guard_rejects_census_increments(eight_gb_machine, four_cpu_machine):
     message = "4 block(s) in flight, each holding 50 x 2^24 increments, but"
     with pytest.raises(ValueError, match=re.escape(message)):
         positivity_census(CensusConfig(tau=2.0**-23, T=2.0, samples=200), jobs=4)
