@@ -27,9 +27,9 @@ def run(dim: int) -> None:
     print(f"\n--- positivity census, d={dim} "
           f"(tau=2^-5, {'h=2^-8' if dim == 1 else 'h=2^-4 per axis'}, 100 samples)")
     print(f"{'g(v)':<16} {'LT':>8} {'EM':>8} {'SEM':>8} {'SEXP':>8}")
+    make = CensusConfig if dim == 1 else CensusConfig.default_2d
+    counts = positivity_census(*(make(g_name=g) for g in G_LABELS), jobs=2).positive_counts()
     for g in G_LABELS:
-        cfg = CensusConfig(g_name=g) if dim == 1 else CensusConfig.default_2d(g_name=g)
-        counts = positivity_census(cfg, jobs=2).positive_counts()
         row = [counts[(k, g)] for k in ("lt", "em", "sem", "sexp")]
         print(f"{G_LABELS[g]:<16}" + "".join(f" {c:>4}/100" for c in row))
 

@@ -25,7 +25,6 @@ from .experiments import (
     ConvergenceConfig,
     dyadic_exponent,
     mean_square_error_study,
-    merge_reports,
     mesh_independence_study,
     positivity_census,
     write_report,
@@ -296,8 +295,7 @@ def main(argv=None) -> int:
         if spec.subcommand == "selftest":
             return _run_selftest()
         if spec.subcommand == "census":
-            reports = [positivity_census(cfg, jobs=spec.jobs) for cfg in spec.census_configs]
-            report = reports[0] if len(reports) == 1 else merge_reports(reports)
+            report = positivity_census(*spec.census_configs, jobs=spec.jobs)
         elif spec.subcommand == "convergence":
             report = mean_square_error_study(spec.convergence_config, jobs=spec.jobs)
         else:

@@ -1,7 +1,7 @@
 """Monte Carlo experiment drivers and CSV reports.
 
 Drivers: a positivity census (share one Brownian path per sample across
-all integrators, count paths whose every field stays nonnegative), a
+all g and integrators, count paths whose every field stays nonnegative), a
 mean-square convergence study (couple every step size to the same
 underlying path by dyadic coarsening and measure sup-over-(time, space)
 root-mean-square errors against a fine LT reference or, for linear g, the
@@ -385,56 +385,75 @@ def _tile_initial(u0: GridField, count: int) -> np.ndarray:
 # positivity census
 
 
-def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
+def positivity_census(*cfgs: CensusConfig, jobs: int = 1) -> ExperimentReport:
     """Count paths whose every field (all steps, all grid points) stays
-    nonnegative; every integrator consumes the same increments per sample."""
+    nonnegative, per config (one per g) and integrator.
+
+    The configs must share d, N, T, tau, samples and seed. Each block draws
+    its increments once, and every g and integrator consumes them. The
+    report equals merge_reports of the one-config reports."""
+    if not cfgs:
+        raise ValueError("need at least one census config")
+    if not all(isinstance(cfg, CensusConfig) for cfg in cfgs):
+        raise TypeError("positivity_census takes CensusConfig arguments; pass jobs by keyword")
+    first = cfgs[0]
+    shared = ("d", "N", "T", "tau", "samples", "master_seed")
+    for cfg in cfgs[1:]:
+        differ = [name for name in shared if getattr(cfg, name) != getattr(first, name)]
+        if differ:
+            raise ValueError(f"census configs differ in {', '.join(differ)}; "
+                             "one census runs one grid, step, horizon, sample count and seed")
     t_start = time.perf_counter()
-    level = path_level(cfg.T, cfg.level)
-    _check_memory(cfg.samples, jobs, level)
-    op, nl, u0 = _setup(cfg)
+    level = path_level(first.T, first.level)
+    _check_memory(first.samples, jobs, level)
+    op, _, u0 = _setup(first)
     if min_value(u0) < 0:
         raise ValueError("positivity census requires nonnegative initial data")
-    ctx = StepContext(op, nl, cfg.tau)
-    axes = tuple(range(1, 1 + cfg.d))
+    contexts = [StepContext(op, from_name(cfg.g_name, cfg.lam), first.tau) for cfg in cfgs]
+    axes = tuple(range(1, 1 + first.d))
 
-    def run_block(block: range) -> dict[tuple[str, IntegratorKind], int]:
-        incr = sample_increment_batch(cfg.T, level, cfg.master_seed, block)
+    def run_block(block: range) -> dict[tuple[str, int, IntegratorKind], int]:
+        incr = sample_increment_batch(first.T, level, first.master_seed, block)
         checksums = incr.sum(axis=1)
         out = {}
-        for kind in cfg.integrators:
-            running_min = np.full(len(block), np.inf)
-            finite = np.ones(len(block), dtype=bool)
+        for i, (cfg, ctx) in enumerate(zip(cfgs, contexts)):
+            for kind in cfg.integrators:
+                running_min = np.full(len(block), np.inf)
+                finite = np.ones(len(block), dtype=bool)
 
-            def track(i: int, U: np.ndarray) -> None:
-                np.minimum(running_min, np.min(U, axis=axes), out=running_min)
-                np.logical_and(finite, np.isfinite(U).all(axis=axes), out=finite)
+                def track(m: int, U: np.ndarray) -> None:
+                    np.minimum(running_min, np.min(U, axis=axes), out=running_min)
+                    np.logical_and(finite, np.isfinite(U).all(axis=axes), out=finite)
 
-            evolve(ctx, kind, _tile_initial(u0, len(block)), incr, 1, track)
-            positive = finite & (running_min >= 0.0)
-            out["positive", kind] = int(positive.sum())
-            out["diverged", kind] = int((~finite).sum())
-            # all integrators must have consumed the identical increments
-            if not np.array_equal(incr.sum(axis=1), checksums, equal_nan=True):
-                raise AssertionError("increment sequence was modified during a census run")
+                evolve(ctx, kind, _tile_initial(u0, len(block)), incr, 1, track)
+                positive = finite & (running_min >= 0.0)
+                out["positive", i, kind] = int(positive.sum())
+                out["diverged", i, kind] = int((~finite).sum())
+                # every g and integrator must have consumed the identical increments
+                if not np.array_equal(incr.sum(axis=1), checksums, equal_nan=True):
+                    raise AssertionError("increment sequence was modified during a census run")
         return out
 
-    counts = _map_blocks(cfg.samples, jobs, run_block)
+    counts = _map_blocks(first.samples, jobs, run_block)
     rows = []
     diverged = {}
-    for kind in cfg.integrators:
-        pos, div = counts["positive", kind], counts["diverged", kind]
-        rows.append(
-            (kind.value, cfg.g_name, cfg.lam, cfg.d, cfg.N, cfg.tau, cfg.samples, pos, div)
-        )
-        if div:
-            diverged[kind.value] = div
+    for i, cfg in enumerate(cfgs):
+        for kind in cfg.integrators:
+            pos, div = counts["positive", i, kind], counts["diverged", i, kind]
+            rows.append(
+                (kind.value, cfg.g_name, cfg.lam, cfg.d, cfg.N, cfg.tau, cfg.samples, pos, div)
+            )
+            if div:
+                diverged[kind.value] = diverged.get(kind.value, 0) + div
+    echo = _census_echo(first)
+    echo["g"] = "+".join(sorted({cfg.g_name for cfg in cfgs}))
     return ExperimentReport(
         kind="census",
         columns=CENSUS_COLUMNS,
         rows=rows,
-        config_echo=_census_echo(cfg),
+        config_echo=echo,
         diverged=diverged,
-        master_seed=cfg.master_seed,
+        master_seed=first.master_seed,
         wall_clock=time.perf_counter() - t_start,
     )
 

@@ -6,6 +6,23 @@ exponential update well behaved for any step size.
 
 Catalogue (lam scales the noise): linear lam*v, rational lam*v/(1+v^2),
 sineplus lam*(sin(v)+v), log1p lam*ln(1+v), zero.
+
+Each g and f returns, bit for bit, its textbook formula evaluated on every
+entry (±0, subnormals, ±inf and NaN included), but skips the costly work
+that cannot change an entry:
+
+* sineplus skips sin where |v| >= 2^54 and v is finite. There the ulp of v
+  is at least 4 above and 2 below |v|, so adding |sin v| <= 1 moves v by at
+  most half an ulp, and the only possible tie (v = ±2^54, sin v = ∓1)
+  rounds to v, which is even. Below 2^54 a sine that rounds to ±1 can tie
+  with an odd v and round away (v = 9014820867183090 gives v + 2), so the
+  bound cannot be lower. The comparators' fields grow this large before
+  they overflow, and sin of a huge argument is costly.
+* log1p skips the tangent line when every entry lies above v* = -1 +
+  EPS_DOM, as in every nonnegative field. A field with an entry at or below
+  v* takes both branches in full: on the comparators' mixed-sign census
+  fields that ran faster than gathering the entries of either branch.
+* f = g/v divides only where |v| >= 1e-12 and puts g'(0) only below.
 """
 
 from __future__ import annotations
@@ -36,6 +53,9 @@ EPS_DOM = 1e-6
 
 # Below this |v| the ratio g(v)/v is replaced by g'(0) (continuity at 0).
 _NEAR_ZERO = 1e-12
+
+# From this |v| on, a finite v + sin(v) rounds to v (see the module docstring).
+_SINE_ABSORBED = 2.0**54
 
 
 @dataclass(frozen=True)
@@ -68,9 +88,12 @@ def eval_f(nl: Nonlinearity, v) -> np.ndarray:
 def _ratio_with_limit(g: Callable, gprime0: float) -> Callable:
     def f(v):
         v = np.asarray(v, dtype=np.float64)
-        small = np.abs(v) < _NEAR_ZERO
-        safe = np.where(small, 1.0, v)
-        return np.where(small, gprime0, g(v) / safe)
+        gv = g(v)  # may be v itself (a custom g): only read
+        a = np.abs(v)
+        if a.min(initial=np.inf) >= _NEAR_ZERO:
+            return gv / v
+        out = np.full(np.broadcast(gv, v).shape, gprime0, dtype=np.float64)
+        return np.divide(gv, v, out=out, where=~(a < _NEAR_ZERO))  # NaN entries divide
 
     return f
 
@@ -100,7 +123,16 @@ def rational(lam: float) -> Nonlinearity:
 
 def sine_plus(lam: float) -> Nonlinearity:
     def g(v):
-        return lam * (np.sin(v) + v)
+        v = np.asarray(v, dtype=np.float64)
+        a = np.abs(v)
+        if not a.max(initial=0.0) >= _SINE_ABSORBED:  # a NaN max lands here too
+            return lam * (np.sin(v) + v)
+        # v + sin(v) == v on the finite entries at or above the bound
+        live = np.flatnonzero(~((a >= _SINE_ABSORBED) & (a < np.inf)))
+        out = v.copy()
+        x = np.take(v, live)
+        np.put(out, live, np.sin(x) + x)
+        return lam * out
 
     return Nonlinearity(
         NonlinearityKind.SINE_PLUS,
@@ -119,10 +151,11 @@ def log1p(lam: float) -> Nonlinearity:
 
     def g(v):
         v = np.asarray(v, dtype=np.float64)
-        branch = np.where(v > v_star, v, 0.0)  # keep log1p off invalid inputs
-        return lam * np.where(
-            v > v_star, np.log1p(branch), g_star + slope * (v - v_star)
-        )
+        above = v > v_star  # NaN takes the tangent
+        if above.all():  # every nonnegative field, so every LT field
+            return lam * np.log1p(v)
+        branch = np.where(above, v, 0.0)  # keep log1p off invalid inputs
+        return lam * np.where(above, np.log1p(branch), g_star + slope * (v - v_star))
 
     return Nonlinearity(
         NonlinearityKind.LOG1P,

@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from spde_lab import experiments
+
+# One hypothesis profile for every property test: the same examples on every
+# run (derandomize, no example database), a handful of them, no deadline.
+# A test that needs more examples raises max_examples on its own.
+settings.register_profile("spde-lab", derandomize=True, database=None, deadline=None,
+                          max_examples=6)
+settings.load_profile("spde-lab")
 
 
 @pytest.fixture

@@ -9,9 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spde_lab import experiments
+from spde_lab import cli, experiments
 from spde_lab.experiments import (
     CENSUS_COLUMNS,
+    CENSUS_G,
     CONVERGENCE_COLUMNS,
     CensusConfig,
     ConvergenceConfig,
@@ -284,6 +285,67 @@ def test_merge_reports():
     assert merged.config_echo["g"] == "linear+rational"
     with pytest.raises(ValueError):
         merge_reports([a, mean_square_error_study(ConvergenceConfig(g_name="rational", **SMALL_STUDY))])
+
+
+# -- one census over several g
+
+
+def counting(monkeypatch, name):
+    """Wrap experiments.<name>, counting its calls."""
+    calls = []
+    real = getattr(experiments, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_census_over_all_g_equals_merged_single_g_reports(tmp_path, monkeypatch,
+                                                         four_cpu_machine, jobs):
+    # at lambda 3, T 4 and N 128 the comparators lose positivity or diverge on
+    # some samples, so the counts, and the divergences summed over g, vary
+    cfgs = [CensusConfig(g_name=g, N=128, T=4.0, lam=3.0, samples=105, master_seed=8)
+            for g in CENSUS_G]
+    merged = merge_reports([positivity_census(cfg, jobs=jobs) for cfg in cfgs])
+    maps, draws = counting(monkeypatch, "_map_blocks"), counting(monkeypatch, "sample_increment_batch")
+    combined = positivity_census(*cfgs, jobs=jobs)
+    assert len(maps) == 1
+    if jobs == 1:  # the draws of forked workers are not seen here
+        assert len(draws) == 3  # one per block, shared by every g and integrator
+    write_report(merged, tmp_path / "merged.csv")
+    write_report(combined, tmp_path / "combined.csv")
+    assert (tmp_path / "combined.csv").read_bytes() == (tmp_path / "merged.csv").read_bytes()
+    assert combined.diverged and 0 < sum(row[7] for row in combined.rows) < 16 * 105
+
+
+def test_census_cli_makes_one_block_map_per_invocation(tmp_path, monkeypatch):
+    maps = counting(monkeypatch, "_map_blocks")
+    out = tmp_path / "census.csv"
+    assert cli.main(["census", "--N", "16", "--T", "0.5", "--samples", "3", "--jobs", "1",
+                     "--out", str(out)]) == 0
+    assert len(maps) == 1
+    assert "# config: d=1 T=0.5 tau=0.03125 N=16 g=linear+log1p+rational+sineplus" in \
+        out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("field,value", [("d", 2), ("N", 32), ("T", 1.0), ("tau", 2.0**-4),
+                                         ("samples", 11), ("master_seed", 6)])
+def test_census_rejects_configs_that_do_not_share_a_run(field, value):
+    a = CensusConfig(g_name="linear", **SMALL_CENSUS)
+    b = replace(a, g_name="rational", **{field: value})
+    with pytest.raises(ValueError, match=f"differ in {field}"):
+        positivity_census(a, b)
+
+
+def test_census_needs_configs_and_jobs_by_keyword():
+    with pytest.raises(ValueError, match="at least one"):
+        positivity_census()
+    with pytest.raises(TypeError, match="pass jobs by keyword"):
+        positivity_census(CensusConfig(**SMALL_CENSUS), 2)
 
 
 # -- the census loop and _run_checkpointed pinned against the hand-written loops

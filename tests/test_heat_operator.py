@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from spde_lab.heat_operator import HeatOperator, PositivityDiagnosticsError
 from spde_lab.mesh import Grid, GridField, sup_norm
@@ -338,3 +340,40 @@ def test_sine_transform_overwrite_same_bits():
         v = rng.standard_normal((3,) + grid.shape)
         want = op.sine_transform(v)
         assert same_bits(op.sine_transform(v.copy(), overwrite=True), want)
+
+
+# -- the positivity diagnostics, over random fields and step sizes -----------
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (1, 256), (2, 16), (2, 256)])
+@given(level=st.integers(0, 16), seed=st.integers(0, 2**32 - 1))
+def test_semigroup_negative_multiplier_raises_property(d, N, level, seed):
+    # one multiplier made negative on purpose: the map is no longer positive,
+    # and a nonnegative field that has a share of that mode must raise
+    op = HeatOperator(Grid(d, N))
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, op.grid.shape)
+    mult = op.semigroup_multipliers(2.0**-level)
+    k = tuple(int(rng.integers(0, n)) for n in mult.shape)
+    assume(abs(op.sine_transform(u)[k]) > 1e-3 * u.max())
+    mult[k] = -1e6
+    with pytest.raises(PositivityDiagnosticsError):
+        op.semigroup_array(u, mult)
+
+
+@pytest.mark.parametrize("d,N", [(1, 64), (1, 256), (2, 16), (2, 256)])
+@given(level=st.integers(12, 16), seed=st.integers(0, 2**32 - 1))
+def test_semigroup_roundoff_negatives_are_clamped_property(d, N, level, seed):
+    # one spike spreads over a few points in a short step; far from it the
+    # exact result lies far below roundoff, so the transforms leave tiny
+    # negatives there, which are set to 0 without raising
+    op = HeatOperator(Grid(d, N))
+    rng = np.random.default_rng(seed)
+    u = np.zeros(op.grid.shape)
+    u[tuple(int(rng.integers(0, n)) for n in u.shape)] = rng.uniform(0.5, 2.0)
+    mult = op.semigroup_multipliers(2.0**-level)
+    raw = op.semigroup_array(u, mult, clamp_nonneg=False)
+    assert -1e-12 * u.max() < raw.min() < 0.0
+    out = op.semigroup_array(u, mult)
+    want = np.where(raw < 0.0, 0.0, raw)
+    assert out.tobytes() == want.tobytes()

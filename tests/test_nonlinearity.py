@@ -1,9 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spde_lab.nonlinearity import (
+    CLI_NAMES,
     EPS_DOM,
     custom,
     eval_f,
@@ -139,3 +144,136 @@ def test_nan_propagates():
     for name in ("linear", "rational", "sineplus", "log1p"):
         nl = from_name(name, 2.5)
         assert math.isnan(float(eval_g(nl, float("nan"))))
+
+
+# -- every g and f is bitwise its textbook formula ----------------------------
+
+# The oracle: each textbook formula evaluated on every entry (sin everywhere,
+# both log1p branches everywhere, the ratio divided through a guard).
+
+
+def textbook_g(name, lam):
+    v_star = -1.0 + EPS_DOM
+
+    def log1p_g(v):
+        v = np.asarray(v, dtype=np.float64)
+        branch = np.where(v > v_star, v, 0.0)
+        tangent = np.log(EPS_DOM) + (1.0 / EPS_DOM) * (v - v_star)
+        return lam * np.where(v > v_star, np.log1p(branch), tangent)
+
+    return {
+        "linear": lambda v: lam * v,
+        "rational": lambda v: lam * v / (1.0 + v * v),
+        "sineplus": lambda v: lam * (np.sin(v) + v),
+        "log1p": log1p_g,
+        "zero": lambda v: np.zeros_like(np.asarray(v, dtype=np.float64)),
+    }[name]
+
+
+def textbook_ratio(g, gprime0):
+    def f(v):
+        v = np.asarray(v, dtype=np.float64)
+        small = np.abs(v) < 1e-12
+        safe = np.where(small, 1.0, v)
+        return np.where(small, gprime0, g(v) / safe)
+
+    return f
+
+
+def textbook_f(name, lam):
+    if name == "linear":
+        return lambda v: np.full_like(np.asarray(v, dtype=np.float64), lam)
+    if name == "rational":
+        return lambda v: lam / (1.0 + np.asarray(v, dtype=np.float64) ** 2)
+    if name == "zero":
+        return textbook_g("zero", lam)
+    gprime0 = {"sineplus": 2.0 * lam, "log1p": lam}[name]
+    return textbook_ratio(textbook_g(name, lam), gprime0)
+
+
+def identity_nl():
+    """A custom g that returns its input array itself."""
+    return custom(lambda v: v, gprime0=1.0, lipschitz_bound=1.0)
+
+
+# (label, function under test, its textbook formula) for lam = 2.5 and -1.5
+PAIRS = [
+    (f"{name}.{which}[{lam}]", getattr(from_name(name, lam), which),
+     (textbook_g if which == "g" else textbook_f)(name, lam))
+    for name in sorted(CLI_NAMES) for which in ("g", "f") for lam in (2.5, -1.5)
+] + [("custom identity.f", identity_nl().f, textbook_ratio(lambda v: v, 1.0))]
+
+
+def _around(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# sin of this even v in (2^53, 2^54) is 1 - 3.8e-20, which rounds to 1.0, and
+# v / 2 is odd: v + sin(v) is a tie and rounds up to v + 2, so a sine skip
+# from 2^53 on would be wrong here
+SINE_TIE = 9014820867183090.0
+
+EDGES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+    + [s * x for s in (1.0, -1.0) for b in (1e-12, 2.0**53, 2.0**54, SINE_TIE)
+       for x in _around(b)]
+    + _around(-1.0 + EPS_DOM)
+)
+
+
+def same_bits_and_no_new_warning(new, old, v):
+    """new(v) and old(v) agree bit for bit (NaN payloads included), new
+    raises no RuntimeWarning that old does not, and v is not written."""
+    v_before = np.array(v, copy=True)
+    with warnings.catch_warnings(record=True) as old_warned:
+        warnings.simplefilter("always")
+        want = np.asarray(old(v))
+    with warnings.catch_warnings(record=True) as new_warned:
+        warnings.simplefilter("always")
+        got = np.asarray(new(v))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes(), (v, got, want)
+    assert {str(w.message) for w in new_warned} <= {str(w.message) for w in old_warned}
+    assert np.asarray(v).tobytes() == v_before.tobytes()
+
+
+@pytest.mark.parametrize("label,new,old", PAIRS, ids=[p[0] for p in PAIRS])
+def test_g_and_f_are_textbook_bits_on_edges(label, new, old):
+    same_bits_and_no_new_warning(new, old, EDGES.copy())
+    same_bits_and_no_new_warning(new, old, np.stack([EDGES, EDGES[::-1]]))
+    for x in EDGES:
+        same_bits_and_no_new_warning(new, old, np.float64(x))
+
+
+def test_sine_skip_starts_at_2_to_54():
+    assert 2.0**53 < SINE_TIE < 2.0**54
+    assert eval_g(sine_plus(1.0), SINE_TIE) == SINE_TIE + 2.0
+    assert eval_g(sine_plus(1.0), -SINE_TIE) == -SINE_TIE - 2.0  # sin is odd
+    assert eval_g(sine_plus(1.0), 2.0**54) == 2.0**54
+
+
+def test_custom_g_returning_its_input_is_not_written():
+    nl = identity_nl()
+    v = np.array([3.0, 0.0, -2.0, 1e-13])
+    f = eval_f(nl, v)
+    assert v.tolist() == [3.0, 0.0, -2.0, 1e-13]
+    assert f.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+
+# floats of every class: hypothesis draws NaNs with various payloads and signs
+ANY_FLOATS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+    elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(max_examples=150)
+@given(v=ANY_FLOATS, mix=st.sampled_from((1.0, 2.0**54, 1e300, 1e-300)))
+def test_g_and_f_are_textbook_bits_property(v, mix):
+    # scaling by mix pushes part of each draw past the sine bound or deep
+    # below v*, so the fast paths meet mixed fields, not only uniform ones
+    with np.errstate(all="ignore"):
+        v = np.where(np.arange(v.size).reshape(v.shape) % 3 == 0, v * mix, v)
+    for label, new, old in PAIRS:
+        same_bits_and_no_new_warning(new, old, v)
