@@ -5,9 +5,10 @@ config-file values (``--config``, one ``key = value`` per line, ``#``
 comments); the environment variable SPDE_LAB_SEED is the seed fallback.
 Only the values the user set reach the run: they override the reference
 experiment parameters, which live in ``CensusConfig`` and
-``ConvergenceConfig`` (and their ``default_2d``). A value of 0 is a value,
-not "unset": ``--lambda 0`` runs without noise, and ``--samples 0`` is
-rejected by the config as it is from a config file.
+``ConvergenceConfig`` (and their ``default_2d``), as --help shows them.
+One table, ``_KEYS``, gives each flag and config-file key. A value of 0
+is a value, not "unset": ``--lambda 0`` runs without noise, and
+``--samples 0`` is rejected by the config as it is from a config file.
 
 Exit codes: 0 success, 1 usage/config/I-O error, 2 selftest failure.
 """
@@ -18,11 +19,13 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from .experiments import (
     CENSUS_G,
     CensusConfig,
     ConvergenceConfig,
+    config_text,
     dyadic_exponent,
     mean_square_error_study,
     mesh_independence_study,
@@ -101,9 +104,9 @@ def parse_integrators(text: str) -> tuple[IntegratorKind, ...]:
     return tuple(kinds)
 
 
-def _parse_g(text: str, allow_all: bool) -> list[str]:
+def _parse_g(text: str, census: bool) -> list[str]:
     names = [p.strip().lower() for p in str(text).split(",")]
-    if allow_all and names == ["all"]:
+    if census and names == ["all"]:
         return list(CENSUS_G)
     for name in names:
         if name not in CLI_NAMES:
@@ -111,6 +114,8 @@ def _parse_g(text: str, allow_all: bool) -> list[str]:
                 f"--g: unknown nonlinearity {name!r} (choose from "
                 f"{', '.join(sorted(CLI_NAMES))}, or 'all' for the census)"
             )
+    if not census and len(names) != 1:
+        raise UsageError("--g takes a single tag for convergence studies")
     return names
 
 
@@ -133,84 +138,88 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_FLAG_KEYS = ("g", "lambda", "d", "N", "T", "tau", "levels", "ref_level",
-              "samples", "seed", "integrators", "out", "jobs", "reference")
+_RUNS = ("census", "convergence", "mesh-study")
+_STUDIES = ("convergence", "mesh-study")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="spde-lab", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+class _Key(NamedTuple):
+    """A run parameter: the flag --<key> (dashes for underscores) and the
+    config-file key <key>. Its help fills in "{default}" per subcommand."""
 
-    def add_common(p):
-        p.add_argument("--config", help="config file, one key = value per line")
-        p.add_argument("--seed", help=f"master seed (fallback: ${ENV_SEED}, then 42)")
-        p.add_argument("--out", help="output CSV path (default: <subcommand>.csv)")
-        p.add_argument("--jobs", help="worker processes over sample blocks, the parent "
-                                      "included (default: cores)")
-        p.add_argument("--d", help="spatial dimension, 1 or 2 (default 1)")
-        p.add_argument("--N", help="subdivisions per axis (default 256 in 1d, 16 in 2d; "
-                                   "mesh-study takes a comma list)")
-        p.add_argument("--T", help="time horizon")
-        p.add_argument("--lambda", help="noise intensity (0: no noise)")
-        p.add_argument("--samples", help="Monte Carlo sample count")
-        p.add_argument("--integrators", help="comma list among lt, em, sem, sexp")
+    key: str
+    help: str
+    field: str | None  # the config field it sets; None for out and jobs
+    convert: Callable[[str], Any]
+    commands: tuple[str, ...] = _RUNS
+    choices: tuple[str, ...] | None = None
 
-    p_census = sub.add_parser(
-        "census",
-        help="positivity census: proportion of sample paths staying nonnegative "
-             "(defaults: T=2, tau=2^-5, N=2^8, lambda=2.5, 100 samples, all four g, all integrators)",
-    )
-    add_common(p_census)
-    p_census.add_argument("--g", help="nonlinearity tag(s), comma list or 'all' (default all)")
-    p_census.add_argument("--tau", help="time step, 2^-j literal or exact dyadic decimal (default 2^-5)")
 
-    p_conv = sub.add_parser(
-        "convergence",
-        help="mean-square error study against a fine LT reference "
-             "(defaults: T=0.5, N=2^8, levels 4..12, reference level 16, 150 samples, lt/sem/sexp)",
-    )
-    add_common(p_conv)
-    p_conv.add_argument("--g", help="nonlinearity tag (default rational)")
-    p_conv.add_argument("--levels", help="step levels, tau = 2^-level (default 4..12 in 1d, 4..10 in 2d)")
-    p_conv.add_argument("--ref-level", dest="ref_level",
-                        help="LT reference level (default 16 in 1d, 14 in 2d)")
-    p_conv.add_argument("--reference", choices=("lt", "exact-linear"),
-                        help="reference solution (default lt; exact-linear needs --g linear)")
-
-    p_mesh = sub.add_parser(
-        "mesh-study",
-        help="convergence study per mesh to show mesh-independent errors "
-             "(defaults: g rational, lambda=1.5, N=16,64,256,1024, LT only)",
-    )
-    add_common(p_mesh)
-    p_mesh.add_argument("--g", help="nonlinearity tag (default rational)")
-    p_mesh.add_argument("--levels", help="step levels (default 4..12)")
-    p_mesh.add_argument("--ref-level", dest="ref_level", help="reference level (default 16)")
-
-    p_self = sub.add_parser("selftest", help="run the fast invariant suite (exit 2 on failure)")
-    p_self.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-
-    return parser
-
+# in --help order, which is also the order the values are converted in
+_KEYS = (
+    _Key("seed", f"master seed (fallback: ${ENV_SEED}, then {{default}})", "master_seed", int),
+    _Key("out", "output CSV path (default {default})", None, str),
+    _Key("jobs", "worker processes over sample blocks, the parent included (default: cores)",
+         None, int),
+    _Key("d", "spatial dimension, 1 or 2 (default {default})", "d", int),
+    _Key("N", "subdivisions per axis (default {default})", "N", int, ("census", "convergence")),
+    _Key("N", "comma list of subdivisions per axis (default {default})", "N",
+         lambda text: [int(p) for p in text.split(",")], ("mesh-study",)),
+    _Key("T", "time horizon (default {default})", "T", float),
+    _Key("lambda", "noise intensity, 0 for no noise (default {default})", "lam", float),
+    _Key("samples", "Monte Carlo sample count (default {default})", "samples", int),
+    _Key("integrators", "comma list among lt, em, sem, sexp (default {default})", "integrators",
+         parse_integrators),
+    _Key("g", "nonlinearity tag(s), comma list or 'all' (default {default})", "g_name",
+         lambda text: _parse_g(text, census=True), ("census",)),
+    _Key("tau", "time step, 2^-j literal or exact dyadic decimal (default {default})", "tau",
+         parse_tau, ("census",)),
+    _Key("g", "nonlinearity tag (default {default})", "g_name",
+         lambda text: _parse_g(text, census=False)[0], _STUDIES),
+    _Key("levels", "step levels, tau = 2^-level, as 4..12 or 4,6,8 (default {default})", "levels",
+         parse_levels, _STUDIES),
+    _Key("ref_level", "LT reference level (default {default})", "ref_level", int, _STUDIES),
+    _Key("reference", "reference solution; exact-linear needs --g linear (default {default})",
+         "reference", lambda text: text.replace("-", "_"), ("convergence",), ("lt", "exact-linear")),
+)
 
 # mesh-study's own settings, read as if given on the command line; the rest,
 # in 2d too (the 1d levels and reference level), is ConvergenceConfig's
 MESH_STUDY_DEFAULTS = {"lambda": "1.5", "integrators": "lt", "N": "16,64,256,1024"}
 
-# key -> (config field, converter) for the values passed on to a config
-_CONFIG_FIELDS = {
-    "d": ("d", int),
-    "N": ("N", int),
-    "T": ("T", float),
-    "lambda": ("lam", float),
-    "samples": ("samples", int),
-    "seed": ("master_seed", int),
-    "tau": ("tau", parse_tau),
-    "levels": ("levels", parse_levels),
-    "ref_level": ("ref_level", int),
-    "integrators": ("integrators", parse_integrators),
-    "reference": ("reference", lambda text: text.replace("-", "_")),
-}
+
+def _text_defaults(cmd: str) -> dict[str, str]:
+    """A subcommand's defaults that no config field holds, as text."""
+    own = {"census": {"g": "all"}, "mesh-study": MESH_STUDY_DEFAULTS}.get(cmd, {})
+    return {"out": f"{cmd}.csv", **own}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="spde-lab", description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    census = (CensusConfig(), CensusConfig.default_2d())
+    study = (ConvergenceConfig(), ConvergenceConfig.default_2d())
+    for cmd, summary, (one, two) in (
+        ("census", "positivity census: proportion of sample paths staying nonnegative", census),
+        ("convergence", "mean-square error study against a fine LT reference", study),
+        ("mesh-study", "convergence study per mesh to show mesh-independent errors",
+         (study[0], study[0])),
+    ):
+        p = sub.add_parser(cmd, help=summary)
+        p.add_argument("--config", help="config file, one key = value per line")
+        defaults = _text_defaults(cmd)
+        for row in _KEYS:
+            if cmd not in row.commands:
+                continue
+            if row.key not in defaults and row.field is not None:
+                a, b = config_text(getattr(one, row.field)), config_text(getattr(two, row.field))
+                defaults[row.key] = a if a == b or row.key == "d" else f"{a} in 1d, {b} in 2d"
+            p.add_argument("--" + row.key.replace("_", "-"), dest=row.key, choices=row.choices,
+                           help=row.help.format(default=defaults.get(row.key)))
+
+    p_self = sub.add_parser("selftest", help="run the fast invariant suite (exit 2 on failure)")
+    p_self.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
+
+    return parser
 
 
 def parse_args(argv=None) -> RunSpec:
@@ -222,50 +231,41 @@ def parse_args(argv=None) -> RunSpec:
 
     cfg_file = _read_config_file(args.config) if args.config else {}
     for key in cfg_file:
-        if key not in _FLAG_KEYS:
+        if not any(row.key == key for row in _KEYS):
             raise UsageError(f"config file: unknown key {key!r}")
+    rows = {row.key: row for row in _KEYS if cmd in row.commands}
     # what the user set, as text: a flag, else a config-file key; a key
     # this subcommand has no flag for (levels in a census file) is ignored
-    given = {key: text for key, text in cfg_file.items() if hasattr(args, key)}
-    given.update((key, getattr(args, key)) for key in _FLAG_KEYS
-                 if getattr(args, key, None) is not None)
+    given = {key: text for key, text in cfg_file.items() if key in rows}
+    given.update((key, getattr(args, key)) for key in rows if getattr(args, key) is not None)
     if "seed" not in given and ENV_SEED in os.environ:
         given["seed"] = os.environ[ENV_SEED]
-    if cmd == "mesh-study":
-        given = {**MESH_STUDY_DEFAULTS, **given}
+    given = {**_text_defaults(cmd), **given}
 
-    def value(key, convert):
-        try:
-            return convert(given[key])
-        except ValueError:
-            flag = "--" + key.replace("_", "-")
-            raise UsageError(f"{flag} {given[key]!r} is not a valid value") from None
-
-    jobs = value("jobs", int) if "jobs" in given else (os.cpu_count() or 1)
+    overrides = {}  # by config field, and out and jobs
+    for key, row in rows.items():
+        if key in given:
+            try:
+                overrides[row.field or key] = row.convert(given[key])
+            except ValueError:
+                flag = "--" + key.replace("_", "-")
+                raise UsageError(f"{flag} {given[key]!r} is not a valid value") from None
+    jobs, out = overrides.pop("jobs", os.cpu_count() or 1), overrides.pop("out")
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    out = given.get("out", f"{cmd}.csv")
-    mesh_N = None
-    if cmd == "mesh-study":
-        mesh_N = value("N", lambda text: [int(p) for p in text.split(",")])
-        given["N"] = str(mesh_N[0])
-    overrides = {name: value(key, convert)
-                 for key, (name, convert) in _CONFIG_FIELDS.items() if key in given}
+    mesh_N = overrides["N"] if cmd == "mesh-study" else None
+    if mesh_N:
+        overrides["N"] = mesh_N[0]
     d = overrides.get("d")
     if d not in (None, 1, 2):
         raise UsageError(f"--d must be 1 or 2, got {d}")
 
     try:
         if cmd == "census":
-            g_names = _parse_g(given["g"], allow_all=True) if "g" in given else list(CENSUS_G)
             make = CensusConfig.default_2d if d == 2 else CensusConfig
+            g_names = overrides.pop("g_name")
             configs = [make(g_name=g, **overrides) for g in g_names]
             return RunSpec("census", census_configs=configs, out=out, jobs=jobs)
-        if "g" in given:
-            g_names = _parse_g(given["g"], allow_all=False)
-            if len(g_names) != 1:
-                raise UsageError("--g takes a single tag for convergence studies")
-            overrides["g_name"] = g_names[0]
         make = ConvergenceConfig.default_2d if d == 2 and cmd == "convergence" else ConvergenceConfig
         cfg = make(**overrides)
         return RunSpec(cmd, convergence_config=cfg, mesh_N=mesh_N, out=out, jobs=jobs)

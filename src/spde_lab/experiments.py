@@ -25,7 +25,8 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,6 +86,22 @@ def path_level(T: float, level: int) -> int:
 # configs
 
 
+def _no_duplicates(name: str, values: Iterable) -> None:
+    values = list(values)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} lists {config_text(value)} more than once")
+
+
+def _check_shared(cfg: "CensusConfig | ConvergenceConfig") -> None:
+    object.__setattr__(cfg, "integrators", tuple(cfg.integrators))
+    if cfg.samples < 1:
+        raise ValueError("need at least one sample")
+    if not 0 <= cfg.master_seed < 2**64:  # the Philox key holds 64 bits
+        raise ValueError(f"seed must be in [0, 2^64), got {cfg.master_seed}")
+    _no_duplicates("integrators", cfg.integrators)
+
+
 @dataclass(frozen=True)
 class CensusConfig:
     """Positivity census parameters; defaults are the 1d table settings."""
@@ -100,9 +117,7 @@ class CensusConfig:
     integrators: tuple[IntegratorKind, ...] = ALL_INTEGRATORS
 
     def __post_init__(self):
-        object.__setattr__(self, "integrators", tuple(self.integrators))
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
+        _check_shared(self)
         path_level(self.T, dyadic_exponent(1.0 / self.tau))
         from_name(self.g_name, self.lam)  # validates the tag
 
@@ -141,14 +156,13 @@ class ConvergenceConfig:
     master_seed: int = 42
     levels: tuple[int, ...] = tuple(range(4, 13))
     ref_level: int = 16
-    integrators: tuple[IntegratorKind, ...] = CONVERGENCE_INTEGRATORS
     reference: str = "lt"
+    integrators: tuple[IntegratorKind, ...] = CONVERGENCE_INTEGRATORS
 
     def __post_init__(self):
-        object.__setattr__(self, "integrators", tuple(self.integrators))
+        _check_shared(self)
         object.__setattr__(self, "levels", tuple(sorted(self.levels)))
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
+        _no_duplicates("levels", self.levels)
         if not self.levels:
             raise ValueError("need at least one step level")
         if self.reference not in ("lt", "exact_linear"):
@@ -213,6 +227,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def config_text(value) -> str:
+    """A config value as reports and --help show it; tuples comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(config_text(v) for v in value)
+    return value.value if isinstance(value, Enum) else _fmt(value)
+
+
+def _echo(cfg: "CensusConfig | ConvergenceConfig") -> dict[str, str]:
+    """The ``# config:`` items of a report: every config field in order, by
+    its CLI key, but the seed, which has a header line of its own."""
+    return {{"g_name": "g", "lam": "lambda"}.get(f.name, f.name): config_text(getattr(cfg, f.name))
+            for f in fields(cfg) if f.name != "master_seed"}
+
+
 def write_report(report: ExperimentReport, path) -> str:
     """Write the CSV (byte-identical for identical config and seed) and
     return a human-readable summary."""
@@ -267,8 +295,7 @@ def merge_reports(reports: Sequence[ExperimentReport]) -> ExperimentReport:
         master_seed=first.master_seed,
         wall_clock=sum(r.wall_clock for r in reports),
     )
-    gs = sorted({r.config_echo.get("g") for r in reports})
-    merged.config_echo["g"] = "+".join(str(g) for g in gs)
+    merged.config_echo["g"] = "+".join(sorted({r.config_echo["g"] for r in reports}))
     for r in reports:
         merged.slopes.update(r.slopes)
         for k, v in r.diverged.items():
@@ -396,6 +423,7 @@ def positivity_census(*cfgs: CensusConfig, jobs: int = 1) -> ExperimentReport:
         raise ValueError("need at least one census config")
     if not all(isinstance(cfg, CensusConfig) for cfg in cfgs):
         raise TypeError("positivity_census takes CensusConfig arguments; pass jobs by keyword")
+    _no_duplicates("g", (cfg.g_name for cfg in cfgs))
     first = cfgs[0]
     shared = ("d", "N", "T", "tau", "samples", "master_seed")
     for cfg in cfgs[1:]:
@@ -445,30 +473,15 @@ def positivity_census(*cfgs: CensusConfig, jobs: int = 1) -> ExperimentReport:
             )
             if div:
                 diverged[kind.value] = diverged.get(kind.value, 0) + div
-    echo = _census_echo(first)
-    echo["g"] = "+".join(sorted({cfg.g_name for cfg in cfgs}))
     return ExperimentReport(
         kind="census",
         columns=CENSUS_COLUMNS,
         rows=rows,
-        config_echo=echo,
+        config_echo={**_echo(first), "g": "+".join(sorted(cfg.g_name for cfg in cfgs))},
         diverged=diverged,
         master_seed=first.master_seed,
         wall_clock=time.perf_counter() - t_start,
     )
-
-
-def _census_echo(cfg: CensusConfig) -> dict:
-    return {
-        "d": cfg.d,
-        "T": cfg.T,
-        "tau": cfg.tau,
-        "N": cfg.N,
-        "g": cfg.g_name,
-        "lambda": cfg.lam,
-        "samples": cfg.samples,
-        "integrators": ",".join(k.value for k in cfg.integrators),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +582,7 @@ def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> Experiment
         kind="convergence",
         columns=CONVERGENCE_COLUMNS,
         rows=[],
-        config_echo=_convergence_echo(cfg),
+        config_echo=_echo(cfg),
         master_seed=cfg.master_seed,
     )
     errors: dict[IntegratorKind, dict[int, float]] = {k: {} for k in cfg.integrators}
@@ -590,21 +603,6 @@ def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> Experiment
     return report
 
 
-def _convergence_echo(cfg: ConvergenceConfig) -> dict:
-    return {
-        "d": cfg.d,
-        "T": cfg.T,
-        "N": cfg.N,
-        "g": cfg.g_name,
-        "lambda": cfg.lam,
-        "samples": cfg.samples,
-        "levels": ",".join(str(j) for j in cfg.levels),
-        "ref_level": cfg.ref_level,
-        "reference": cfg.reference,
-        "integrators": ",".join(k.value for k in cfg.integrators),
-    }
-
-
 def fit_levels(cfg: ConvergenceConfig) -> list[int]:
     """Levels used by the default slope fit: all requested levels except
     the two adjacent to the reference (contaminated by reference error)."""
@@ -618,11 +616,12 @@ def fit_slope(errors: dict[int, float], levels: Iterable[int]) -> float:
     """OLS slope of log2(error) against log2(tau) over the given levels.
 
     For errors behaving like C * tau^r the result is r (so 0.5 for strong
-    order one half). NaN when fewer than two usable points exist.
+    order one half). NaN when fewer than two usable levels exist; a level
+    listed twice counts once.
     """
     pts = [
         (-float(j), math.log2(errors[j]))
-        for j in levels
+        for j in dict.fromkeys(levels)
         if j in errors and math.isfinite(errors[j]) and errors[j] > 0
     ]
     if len(pts) < 2:
@@ -642,6 +641,7 @@ def mesh_independence_study(
 ) -> ExperimentReport:
     """The convergence study repeated over meshes, each against its own
     reference on the same mesh; a single N reduces to one study."""
+    _no_duplicates("N", N_values)
     subs = [replace(cfg, N=int(N)) for N in N_values]
     for sub in subs:  # reject an oversized mesh before running the first
         _check_study_memory(sub, jobs, path_level(sub.T, sub.ref_level))
@@ -655,8 +655,7 @@ def mesh_independence_study(
         return reports[0]
     merged = merge_reports(reports)
     merged.kind = "mesh_study"
-    merged.config_echo = _convergence_echo(cfg)
-    merged.config_echo["N"] = ",".join(str(sub.N) for sub in subs)
+    merged.config_echo = {**_echo(cfg), "N": config_text(tuple(sub.N for sub in subs))}
     return merged
 
 

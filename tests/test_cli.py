@@ -1,9 +1,9 @@
 import re
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import pytest
 
-from spde_lab import experiments
+from spde_lab import cli, experiments
 from spde_lab.cli import (
     UsageError,
     main,
@@ -351,3 +351,64 @@ def test_main_block_error_exits_1_at_any_jobs(tmp_path, capsys, monkeypatch, fou
     assert main(argv) == 1
     assert "spde-lab: error: increments of block 50 are unavailable" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd,key,text,message", [
+    ("census", "integrators", "em,em", "integrators lists em more than once"),
+    ("census", "g", "rational,rational", "g lists rational more than once"),
+    ("convergence", "levels", "2,2,3", "levels lists 2 more than once"),
+    ("convergence", "integrators", "lt,sem,lt", "integrators lists lt more than once"),
+    ("mesh-study", "levels", "4,4", "levels lists 4 more than once"),
+    ("mesh-study", "N", "8,16,8", "N lists 8 more than once"),
+    ("census", "seed", "-5", "seed must be in [0, 2^64), got -5"),
+    ("convergence", "seed", "18446744073709551658",
+     "seed must be in [0, 2^64), got 18446744073709551658"),
+    ("mesh-study", "seed", str(2**64), f"seed must be in [0, 2^64), got {2**64}"),
+])
+def test_duplicates_and_out_of_range_seeds_fail_alike(tmp_path, capsys, monkeypatch,
+                                                       cmd, key, text, message):
+    monkeypatch.delenv("SPDE_LAB_SEED", raising=False)
+    out = tmp_path / "x.csv"
+    assert main([cmd, f"--{key}", text, "--out", str(out)]) == 1
+    from_flag = capsys.readouterr().err
+    assert from_flag == f"spde-lab: error: {message}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == from_flag
+    if key == "seed":
+        monkeypatch.setenv("SPDE_LAB_SEED", text)
+        assert main([cmd, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == from_flag
+    assert not out.exists()
+
+
+def test_help_defaults_come_from_the_configs(monkeypatch, capsys):
+    @dataclass(frozen=True)
+    class Census(experiments.CensusConfig):
+        samples: int = 123
+
+    @dataclass(frozen=True)
+    class Study(experiments.ConvergenceConfig):
+        T: float = 0.25
+        ref_level: int = 17
+
+    for module in (cli, experiments):  # default_2d builds the patched class too
+        monkeypatch.setattr(module, "CensusConfig", Census)
+        monkeypatch.setattr(module, "ConvergenceConfig", Study)
+
+    def help_of(cmd):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    census = help_of("census")
+    assert "Monte Carlo sample count (default 123)" in census
+    assert "subdivisions per axis (default 256 in 1d, 16 in 2d)" in census
+    convergence = help_of("convergence")
+    assert "time horizon (default 0.25)" in convergence
+    assert "LT reference level (default 17 in 1d, 14 in 2d)" in convergence
+    mesh = help_of("mesh-study")
+    assert "LT reference level (default 17)" in mesh
+    assert "noise intensity, 0 for no noise (default 1.5)" in mesh

@@ -4,7 +4,7 @@ import os
 import re
 import warnings
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -183,6 +183,13 @@ def test_fit_slope_recovers_synthetic_rate():
     assert math.isnan(fit_slope({4: 1.0}, [4]))
 
 
+def test_fit_slope_counts_a_repeated_level_once():
+    # a single level listed twice has no slope: NaN, not a 0/0 RuntimeWarning
+    assert math.isnan(fit_slope({4: 1.0}, [4, 4]))
+    errors = {4: 0.3, 5: 0.2, 6: 0.05}
+    assert fit_slope(errors, [4, 5, 4, 6, 6]) == fit_slope(errors, [4, 5, 6])
+
+
 def test_fit_levels_exclude_reference_neighbors():
     from spde_lab.experiments import fit_levels
 
@@ -346,6 +353,53 @@ def test_census_needs_configs_and_jobs_by_keyword():
         positivity_census()
     with pytest.raises(TypeError, match="pass jobs by keyword"):
         positivity_census(CensusConfig(**SMALL_CENSUS), 2)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: CensusConfig(integrators=(LT, EM, EM)), "integrators lists em more than once"),
+    (lambda: ConvergenceConfig(integrators=(SEXP, LT, SEXP)), "integrators lists sexp more than once"),
+    (lambda: ConvergenceConfig(levels=(2, 3, 2), ref_level=5), "levels lists 2 more than once"),
+    (lambda: positivity_census(CensusConfig(g_name="rational", **SMALL_CENSUS),
+                               CensusConfig(g_name="linear", **SMALL_CENSUS),
+                               CensusConfig(g_name="rational", **SMALL_CENSUS)),
+     "g lists rational more than once"),
+    (lambda: mesh_independence_study(ConvergenceConfig(**SMALL_STUDY), [8, 16, 8]),
+     "N lists 8 more than once"),
+])
+def test_duplicate_list_entries_are_rejected(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+@pytest.mark.parametrize("config", [CensusConfig, ConvergenceConfig])
+def test_seed_must_fit_the_64_bit_key(config):
+    for seed in (-1, 2**64, 2**64 + 42):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2^64), got {seed}")):
+            config(master_seed=seed)
+    assert config(master_seed=0).master_seed == 0
+    assert config(master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+
+def echoed_keys(report, tmp_path):
+    out = tmp_path / "echo.csv"
+    write_report(report, out)
+    (line,) = [l for l in out.read_text(encoding="utf-8").splitlines() if l.startswith("# config: ")]
+    return [item.split("=", 1)[0] for item in line[len("# config: "):].split(" ")]
+
+
+def field_keys(cfg):
+    names = {"g_name": "g", "lam": "lambda"}
+    return [names.get(f.name, f.name) for f in fields(cfg) if f.name != "master_seed"]
+
+
+def test_config_echo_lists_every_field_but_the_seed_in_order(tmp_path):
+    census = CensusConfig(g_name="linear", **SMALL_CENSUS)
+    study = ConvergenceConfig(g_name="rational", **SMALL_STUDY)
+    assert echoed_keys(positivity_census(census), tmp_path) == field_keys(census)
+    assert echoed_keys(mean_square_error_study(study), tmp_path) == field_keys(study)
+    mesh = mesh_independence_study(replace(study, samples=2), [8, 16])
+    assert echoed_keys(mesh, tmp_path) == field_keys(study)
+    assert mesh.config_echo["N"] == "8,16"
 
 
 # -- the census loop and _run_checkpointed pinned against the hand-written loops
