@@ -36,6 +36,7 @@ from .integrators import IntegratorKind
 from .nonlinearity import CLI_NAMES
 
 ENV_SEED = "SPDE_LAB_SEED"
+_INTEGRATOR_NAMES = ", ".join(kind.value for kind in IntegratorKind)
 
 
 class UsageError(Exception):
@@ -99,7 +100,7 @@ def parse_integrators(text: str) -> tuple[IntegratorKind, ...]:
             kinds.append(IntegratorKind(name))
         except ValueError:
             raise UsageError(
-                f"--integrators: unknown integrator {part!r} (choose from lt, em, sem, sexp)"
+                f"--integrators: unknown integrator {part!r} (choose from {_INTEGRATOR_NAMES})"
             ) from None
     return tuple(kinds)
 
@@ -167,7 +168,7 @@ _KEYS = (
     _Key("T", "time horizon (default {default})", "T", float),
     _Key("lambda", "noise intensity, 0 for no noise (default {default})", "lam", float),
     _Key("samples", "Monte Carlo sample count (default {default})", "samples", int),
-    _Key("integrators", "comma list among lt, em, sem, sexp (default {default})", "integrators",
+    _Key("integrators", f"comma list among {_INTEGRATOR_NAMES} (default {{default}})", "integrators",
          parse_integrators),
     _Key("g", "nonlinearity tag(s), comma list or 'all' (default {default})", "g_name",
          lambda text: _parse_g(text, census=True), ("census",)),

@@ -39,6 +39,7 @@ from .nonlinearity import Nonlinearity, NonlinearityKind, from_name
 from .noise_paths import (
     MAX_LEVEL,
     RNG_METHOD,
+    check_key,
     coarsen_increments,
     sample_increment_batch,
 )
@@ -51,7 +52,7 @@ BLOCK_SAMPLES = 50
 CENSUS_COLUMNS = ("integrator", "g", "lambda", "d", "N", "tau", "samples", "positive", "diverged")
 CONVERGENCE_COLUMNS = ("integrator", "g", "lambda", "d", "N", "level", "tau", "rms_sup_error")
 
-ALL_INTEGRATORS = (IntegratorKind.LT, IntegratorKind.EM, IntegratorKind.SEM, IntegratorKind.SEXP)
+ALL_INTEGRATORS = tuple(IntegratorKind)
 CONVERGENCE_INTEGRATORS = (IntegratorKind.LT, IntegratorKind.SEM, IntegratorKind.SEXP)
 CENSUS_G = ("linear", "rational", "sineplus", "log1p")
 
@@ -97,8 +98,7 @@ def _check_shared(cfg: "CensusConfig | ConvergenceConfig") -> None:
     object.__setattr__(cfg, "integrators", tuple(cfg.integrators))
     if cfg.samples < 1:
         raise ValueError("need at least one sample")
-    if not 0 <= cfg.master_seed < 2**64:  # the Philox key holds 64 bits
-        raise ValueError(f"seed must be in [0, 2^64), got {cfg.master_seed}")
+    check_key("seed", cfg.master_seed)
     _no_duplicates("integrators", cfg.integrators)
 
 

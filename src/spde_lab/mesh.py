@@ -6,17 +6,10 @@ are never stored. Layout for d=2 is row-major with the second axis fastest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-
-class InitialDataKind(Enum):
-    SINE_1D = "sine_1d"
-    SINE_PRODUCT_2D = "sine_product_2d"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -101,25 +94,21 @@ class InitialData:
     returns u_0 at those points.
     """
 
-    kind: InitialDataKind
-    evaluator: Callable[..., np.ndarray] = field(compare=False)
+    evaluator: Callable[..., np.ndarray]
 
     @staticmethod
     def sine_1d() -> "InitialData":
         """u_0(x) = sin(pi x)."""
-        return InitialData(InitialDataKind.SINE_1D, lambda x: np.sin(np.pi * x))
+        return InitialData(lambda x: np.sin(np.pi * x))
 
     @staticmethod
     def sine_product_2d() -> "InitialData":
         """u_0(x1, x2) = sin(pi x1) sin(pi x2)."""
-        return InitialData(
-            InitialDataKind.SINE_PRODUCT_2D,
-            lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2),
-        )
+        return InitialData(lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
 
     @staticmethod
     def custom(evaluator: Callable[..., np.ndarray]) -> "InitialData":
-        return InitialData(InitialDataKind.CUSTOM, evaluator)
+        return InitialData(evaluator)
 
 
 _BOUNDARY_TOL = 1e-12

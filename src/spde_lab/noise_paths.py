@@ -18,8 +18,6 @@ MAX_LEVEL = 24
 #: Recorded in report metadata; the scheme is deterministic given the key.
 RNG_METHOD = "philox4x64 keyed (master_seed, sample_index); ziggurat standard_normal"
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True, eq=False)
 class BrownianPath:
@@ -69,11 +67,10 @@ def coarsen_increments(increments: np.ndarray, from_level: int, to_level: int) -
     return increments.reshape(shape).sum(axis=-1)
 
 
-def _generator(master_seed: int, sample_index: int) -> np.random.Generator:
-    key = np.array(
-        [master_seed & _MASK64, sample_index & _MASK64], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+def check_key(name: str, value: int) -> None:
+    """Raise unless ``value`` fits one 64-bit word of the Philox key."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be in [0, 2^64), got {value}")
 
 
 def sample_path(T: float, level: int, master_seed: int, sample_index: int) -> BrownianPath:
@@ -82,14 +79,8 @@ def sample_path(T: float, level: int, master_seed: int, sample_index: int) -> Br
     Deterministic in (master_seed, sample_index): the same pair always
     yields bit-identical increments, independent of call order.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    if not 0 <= level <= MAX_LEVEL:
-        raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {level}")
-    rng = _generator(master_seed, sample_index)
-    tau_min = T / 2**level
-    incr = rng.standard_normal(2**level) * np.sqrt(tau_min)
-    return BrownianPath(T, level, incr)
+    batch = sample_increment_batch(T, level, master_seed, range(sample_index, sample_index + 1))
+    return BrownianPath(T, level, batch[0])
 
 
 def sample_increment_batch(
@@ -97,9 +88,21 @@ def sample_increment_batch(
 ) -> np.ndarray:
     """Increments for a contiguous run of samples, stacked (len, 2^level).
 
-    Row k is bit-identical to sample_path(..., sample_indices[k]).increments.
+    Row k holds the path of sample sample_indices[k]; seed and indices
+    must each fit the 64-bit key, they are never wrapped.
     """
+    if T <= 0:
+        raise ValueError(f"horizon must be positive, got {T}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {level}")
+    check_key("seed", master_seed)
+    for k in (min(sample_indices, default=0), max(sample_indices, default=0)):
+        check_key("sample index", k)
+    scale = np.sqrt(T / 2**level)
     out = np.empty((len(sample_indices), 2**level))
-    for row, k in enumerate(sample_indices):
-        out[row] = sample_path(T, level, master_seed, k).increments
+    for row, k in zip(out, sample_indices):
+        # a uint64 array: a plain list of ints near 2^64 would pass through float64
+        key = np.array([master_seed, k], dtype=np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
+        row *= scale
     return out

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .experiments import CENSUS_G
 from .heat_operator import HeatOperator
 from .integrators import IntegratorKind, StepContext, run_path, step_em, step_lt, step_sem, step_sexp
 from .mesh import Grid, GridField, min_value, sup_norm
-from .nonlinearity import from_name, zero
+from .nonlinearity import CLI_NAMES, from_name, zero
 from .noise_paths import sample_path
 
 
@@ -123,6 +124,7 @@ def check_brownian_coarsening() -> CheckResult:
     return _result("Brownian coarsening consistency", worst, 1e-12)
 
 
+# hand-coded (g, f) per census g; check_scalar_oracle fails on a missing one
 _SCALAR_G = {
     "linear": (lambda lam, u: lam * u, lambda lam, u: lam),
     "rational": (lambda lam, u: lam * u / (1 + u * u), lambda lam, u: lam / (1 + u * u)),
@@ -140,13 +142,17 @@ _SCALAR_G = {
 def check_scalar_oracle() -> CheckResult:
     """N = 2 reduces every integrator to a scalar map with mu = -8;
     compare against formulas written directly from the step definitions."""
+    name = "scalar (N=2) one-step oracle, all integrators"
     rng = np.random.default_rng(106)
     grid = Grid(1, 2)
     op = HeatOperator(grid)
     tau, lam = 0.25, 2.5
     worst = 0.0
-    for name, (g_hand, f_hand) in _SCALAR_G.items():
-        ctx = StepContext(op, from_name(name, lam), tau)
+    for g_name in CENSUS_G:
+        if g_name not in _SCALAR_G:
+            return CheckResult(name, False, f"no scalar oracle for g = {g_name}")
+        g_hand, f_hand = _SCALAR_G[g_name]
+        ctx = StepContext(op, from_name(g_name, lam), tau)
         us = np.concatenate([rng.uniform(0.05, 2.0, 500), rng.uniform(-0.8, -0.05, 500)])
         dbs = rng.normal(0.0, math.sqrt(tau), 1000)
         for u, db in zip(us, dbs):
@@ -167,7 +173,7 @@ def check_scalar_oracle() -> CheckResult:
             for key, ref in expect.items():
                 dev = abs(float(got[key].values[0]) - ref) / max(1.0, abs(ref))
                 worst = max(worst, dev)
-    return _result("scalar (N=2) one-step oracle, all integrators", worst, 1e-13)
+    return _result(name, worst, 1e-13)
 
 
 def check_ratio_consistency() -> CheckResult:
@@ -180,7 +186,7 @@ def check_ratio_consistency() -> CheckResult:
     )
     vs = vs[np.abs(vs) >= 1e-10]
     worst = 0.0
-    for name in ("linear", "rational", "sineplus", "log1p", "zero"):
+    for name in CLI_NAMES:
         nl = from_name(name, 2.5)
         g = nl.g(vs)
         dev = np.abs(vs * nl.f(vs) - g) / np.maximum(np.abs(g), 1e-300)
@@ -226,7 +232,7 @@ def check_lt_positivity_paths() -> CheckResult:
     worst = 0.0
     for grid, tau in ((Grid(1, 64), 0.5), (Grid(1, 16), 4.0), (Grid(2, 8), 1.0)):
         op = HeatOperator(grid)
-        for name in ("linear", "rational", "sineplus", "log1p"):
+        for name in CENSUS_G:
             ctx = StepContext(op, from_name(name, 2.5), tau)
             u0 = GridField(grid, rng.uniform(0.0, 1.5, grid.n_interior))
             incr = rng.normal(0.0, math.sqrt(tau), 16)

@@ -213,6 +213,15 @@ def test_main_selftest_exits_0():
     assert main(["selftest"]) == 0
 
 
+def test_selftest_fails_for_a_census_g_without_a_scalar_oracle(monkeypatch):
+    from spde_lab import selftest
+
+    monkeypatch.delitem(selftest._SCALAR_G, "log1p")
+    result = selftest.check_scalar_oracle()
+    assert not result.passed
+    assert result.detail == "no scalar oracle for g = log1p"
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_main_rejects_non_finite_lambda(tmp_path, capsys, lam):
     out = tmp_path / "c.csv"

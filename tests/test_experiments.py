@@ -8,6 +8,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spde_lab import cli, experiments
 from spde_lab.experiments import (
@@ -37,6 +39,10 @@ LT, EM, SEM, SEXP = (
     IntegratorKind.EM,
     IntegratorKind.SEM,
     IntegratorKind.SEXP,
+)
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
 )
 
 # small configurations keep these tests in the seconds range
@@ -265,6 +271,27 @@ def test_write_report_byte_identical(tmp_path):
     write_report(positivity_census(cfg, jobs=1), a)
     write_report(positivity_census(cfg, jobs=2), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@needs_fork
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=st.sampled_from((1, 2)), N=st.sampled_from((4, 8)), g=st.sampled_from(CENSUS_G),
+       blocks=st.integers(1, 3), tail=st.integers(1, experiments.BLOCK_SAMPLES),
+       seed=st.integers(0, 2**64 - 1), ref_level=st.integers(5, 7))
+def test_report_bytes_do_not_depend_on_jobs(tmp_path, four_cpu_machine, d, N, g, blocks, tail,
+                                            seed, ref_level):
+    samples = experiments.BLOCK_SAMPLES * (blocks - 1) + tail
+    shared = dict(d=d, N=N, g_name=g, samples=samples, master_seed=seed)
+    runs = ((positivity_census, CensusConfig(T=0.5, **shared)),
+            (mean_square_error_study, ConvergenceConfig(levels=(2, 3, 4), ref_level=ref_level,
+                                                        **shared)))
+    assert experiments._workers(samples, 3) == blocks  # jobs 2 and 3 fork when blocks allow
+    for run, cfg in runs:
+        written = []
+        for jobs in (1, 2, 3):
+            write_report(run(cfg, jobs=jobs), tmp_path / f"jobs{jobs}.csv")
+            written.append((tmp_path / f"jobs{jobs}.csv").read_bytes())
+        assert written[1] == written[0] and written[2] == written[0], (run.__name__, cfg)
 
 
 def test_write_report_empty_integrators(tmp_path):
@@ -678,11 +705,6 @@ def test_map_blocks_adds_up_in_block_order(jobs):
 
 def pid_task(block):
     return {"starts": [block.start], "pids": [os.getpid()]}
-
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
-)
 
 
 @needs_fork

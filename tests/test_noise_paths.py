@@ -1,12 +1,21 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from spde_lab.experiments import CensusConfig, ConvergenceConfig
 from spde_lab.noise_paths import (
     MAX_LEVEL,
     coarsen_increments,
     sample_increment_batch,
     sample_path,
 )
+
+# key words near both ends of [0, 2^64), and just outside it
+IN_KEY = st.one_of(st.integers(0, 2**8), st.integers(2**64 - 2**8, 2**64 - 1))
+OUTSIDE_KEY = st.one_of(st.integers(-(2**8), -1), st.integers(2**64, 2**64 + 2**8))
 
 
 def test_determinism():
@@ -92,3 +101,51 @@ def test_increment_distribution_scaling():
     # variance scales with the horizon
     p = sample_path(4.0, 12, 123, 0)
     assert p.increments.var() == pytest.approx(4.0 / 2**12, rel=0.1)
+
+
+@given(level=st.integers(0, 4), seed=IN_KEY, start=IN_KEY, count=st.integers(1, 3))
+def test_batch_rows_are_the_keyed_paths_at_both_ends_of_the_key(level, seed, start, count):
+    indices = range(start, min(start + count, 2**64))
+    batch = sample_increment_batch(0.5, level, seed, indices)
+    for row, k in zip(batch, indices):
+        assert np.array_equal(row, sample_path(0.5, level, seed, k).increments)
+        # the keyed draw built directly, both key words unwrapped
+        key = np.array([seed, k], dtype=np.uint64)
+        drawn = np.random.Generator(np.random.Philox(key=key)).standard_normal(2**level)
+        assert np.array_equal(row, drawn * np.sqrt(0.5 / 2**level))
+
+
+@given(bad=OUTSIDE_KEY, good=IN_KEY)
+def test_keys_outside_64_bits_raise_the_same_error_everywhere(bad, good):
+    seed_error = re.escape(f"seed must be in [0, 2^64), got {bad}")
+    for make in (lambda: sample_path(1.0, 2, bad, good),
+                 lambda: sample_increment_batch(1.0, 2, bad, range(good, good + 1)),
+                 lambda: CensusConfig(master_seed=bad),
+                 lambda: ConvergenceConfig(master_seed=bad)):
+        with pytest.raises(ValueError, match=seed_error):
+            make()
+    index_error = re.escape(f"sample index must be in [0, 2^64), got {bad}")
+    for make in (lambda: sample_path(1.0, 2, good, bad),
+                 lambda: sample_increment_batch(1.0, 2, good, range(bad, bad + 1))):
+        with pytest.raises(ValueError, match=index_error):
+            make()
+
+
+def test_negative_seed_is_not_wrapped():
+    # drew the path of seed 2^64 - 5 when the key was masked to 64 bits
+    with pytest.raises(ValueError, match=re.escape("seed must be in [0, 2^64), got -5")):
+        sample_path(1.0, 4, -5, 0)
+
+
+def test_negative_sample_index_is_not_wrapped():
+    # drew the path of index 2^64 - 1 when the key was masked to 64 bits
+    with pytest.raises(ValueError, match=re.escape("sample index must be in [0, 2^64), got -1")):
+        sample_path(1.0, 4, 3, -1)
+
+
+def test_batch_checks_its_first_and_last_index():
+    with pytest.raises(ValueError, match=re.escape(f"sample index must be in [0, 2^64), got {2**64}")):
+        sample_increment_batch(1.0, 4, 3, range(2**64 - 1, 2**64 + 1))
+    with pytest.raises(ValueError, match=re.escape("sample index must be in [0, 2^64), got -1")):
+        sample_increment_batch(1.0, 4, 3, range(-1, 2))
+    assert sample_increment_batch(1.0, 4, 3, range(0)).shape == (0, 16)
