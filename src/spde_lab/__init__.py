@@ -35,7 +35,6 @@ from .experiments import (
     ConvergenceConfig,
     ExperimentReport,
     mean_square_error_study,
-    merge_reports,
     mesh_independence_study,
     moment_bound_study,
     positivity_census,
@@ -81,6 +80,5 @@ __all__ = [
     "mesh_independence_study",
     "moment_bound_study",
     "write_report",
-    "merge_reports",
     "__version__",
 ]

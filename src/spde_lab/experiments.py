@@ -282,27 +282,6 @@ def summarize(report: ExperimentReport) -> str:
     return "\n".join(out)
 
 
-def merge_reports(reports: Sequence[ExperimentReport]) -> ExperimentReport:
-    """Concatenate reports of one kind (e.g. a census per nonlinearity)."""
-    first = reports[0]
-    if any(r.kind != first.kind or r.columns != first.columns for r in reports):
-        raise ValueError("can only merge reports of the same kind")
-    merged = ExperimentReport(
-        kind=first.kind,
-        columns=first.columns,
-        rows=[row for r in reports for row in r.rows],
-        config_echo=dict(first.config_echo),
-        master_seed=first.master_seed,
-        wall_clock=sum(r.wall_clock for r in reports),
-    )
-    merged.config_echo["g"] = "+".join(sorted({r.config_echo["g"] for r in reports}))
-    for r in reports:
-        merged.slopes.update(r.slopes)
-        for k, v in r.diverged.items():
-            merged.diverged[k] = merged.diverged.get(k, 0) + v
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # block scheduling
 
@@ -416,35 +395,37 @@ def positivity_census(*cfgs: CensusConfig, jobs: int = 1) -> ExperimentReport:
     """Count paths whose every field (all steps, all grid points) stays
     nonnegative, per config (one per g) and integrator.
 
-    The configs must share d, N, T, tau, samples and seed. Each block draws
-    its increments once, and every g and integrator consumes them. The
-    report equals merge_reports of the one-config reports."""
+    The configs differ in g_name alone, so the config echo holds for every
+    row. Each block draws its increments once, and every g and integrator
+    consumes them. Rows follow the configs in order; an integrator's
+    divergences are summed over the g."""
     if not cfgs:
         raise ValueError("need at least one census config")
     if not all(isinstance(cfg, CensusConfig) for cfg in cfgs):
         raise TypeError("positivity_census takes CensusConfig arguments; pass jobs by keyword")
-    _no_duplicates("g", (cfg.g_name for cfg in cfgs))
-    first = cfgs[0]
-    shared = ("d", "N", "T", "tau", "samples", "master_seed")
-    for cfg in cfgs[1:]:
-        differ = [name for name in shared if getattr(cfg, name) != getattr(first, name)]
+    g_names = [cfg.g_name for cfg in cfgs]
+    _no_duplicates("g", g_names)
+    cfg = cfgs[0]
+    for other in cfgs[1:]:
+        differ = [f.name for f in fields(cfg)
+                  if f.name != "g_name" and getattr(other, f.name) != getattr(cfg, f.name)]
         if differ:
             raise ValueError(f"census configs differ in {', '.join(differ)}; "
-                             "one census runs one grid, step, horizon, sample count and seed")
+                             "the configs of one census differ in g alone")
     t_start = time.perf_counter()
-    level = path_level(first.T, first.level)
-    _check_memory(first.samples, jobs, level)
-    op, _, u0 = _setup(first)
+    level = path_level(cfg.T, cfg.level)
+    _check_memory(cfg.samples, jobs, level)
+    op, _, u0 = _setup(cfg)
     if min_value(u0) < 0:
         raise ValueError("positivity census requires nonnegative initial data")
-    contexts = [StepContext(op, from_name(cfg.g_name, cfg.lam), first.tau) for cfg in cfgs]
-    axes = tuple(range(1, 1 + first.d))
+    contexts = [StepContext(op, from_name(g, cfg.lam), cfg.tau) for g in g_names]
+    axes = tuple(range(1, 1 + cfg.d))
 
-    def run_block(block: range) -> dict[tuple[str, int, IntegratorKind], int]:
-        incr = sample_increment_batch(first.T, level, first.master_seed, block)
+    def run_block(block: range) -> dict[tuple[str, str, IntegratorKind], int]:
+        incr = sample_increment_batch(cfg.T, level, cfg.master_seed, block)
         checksums = incr.sum(axis=1)
         out = {}
-        for i, (cfg, ctx) in enumerate(zip(cfgs, contexts)):
+        for g, ctx in zip(g_names, contexts):
             for kind in cfg.integrators:
                 running_min = np.full(len(block), np.inf)
                 finite = np.ones(len(block), dtype=bool)
@@ -455,31 +436,29 @@ def positivity_census(*cfgs: CensusConfig, jobs: int = 1) -> ExperimentReport:
 
                 evolve(ctx, kind, _tile_initial(u0, len(block)), incr, 1, track)
                 positive = finite & (running_min >= 0.0)
-                out["positive", i, kind] = int(positive.sum())
-                out["diverged", i, kind] = int((~finite).sum())
+                out["positive", g, kind] = int(positive.sum())
+                out["diverged", g, kind] = int((~finite).sum())
                 # every g and integrator must have consumed the identical increments
                 if not np.array_equal(incr.sum(axis=1), checksums, equal_nan=True):
                     raise AssertionError("increment sequence was modified during a census run")
         return out
 
-    counts = _map_blocks(first.samples, jobs, run_block)
+    counts = _map_blocks(cfg.samples, jobs, run_block)
     rows = []
     diverged = {}
-    for i, cfg in enumerate(cfgs):
+    for g in g_names:
         for kind in cfg.integrators:
-            pos, div = counts["positive", i, kind], counts["diverged", i, kind]
-            rows.append(
-                (kind.value, cfg.g_name, cfg.lam, cfg.d, cfg.N, cfg.tau, cfg.samples, pos, div)
-            )
+            pos, div = counts["positive", g, kind], counts["diverged", g, kind]
+            rows.append((kind.value, g, cfg.lam, cfg.d, cfg.N, cfg.tau, cfg.samples, pos, div))
             if div:
                 diverged[kind.value] = diverged.get(kind.value, 0) + div
     return ExperimentReport(
         kind="census",
         columns=CENSUS_COLUMNS,
         rows=rows,
-        config_echo={**_echo(first), "g": "+".join(sorted(cfg.g_name for cfg in cfgs))},
+        config_echo={**_echo(cfg), "g": "+".join(sorted(g_names))},
         diverged=diverged,
-        master_seed=first.master_seed,
+        master_seed=cfg.master_seed,
         wall_clock=time.perf_counter() - t_start,
     )
 
@@ -585,20 +564,18 @@ def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> Experiment
         config_echo=_echo(cfg),
         master_seed=cfg.master_seed,
     )
-    errors: dict[IntegratorKind, dict[int, float]] = {k: {} for k in cfg.integrators}
     for kind in cfg.integrators:
         for j in cfg.levels:
             total = sums["used", kind, j]
             div = cfg.samples - total
             err = math.sqrt(float(np.max(sums["sq", kind, j])) / total) if total else math.nan
-            errors[kind][j] = err
             report.rows.append(
                 (kind.value, cfg.g_name, cfg.lam, cfg.d, cfg.N, j, tau_of_level(j), err)
             )
             if div:
                 report.diverged[f"{kind.value}@{j}"] = div
-    for kind in cfg.integrators:
-        report.slopes[kind.value] = fit_slope(errors[kind], fit_levels(cfg))
+    for name, errors in report.errors_by_integrator().items():
+        report.slopes[name] = fit_slope(errors, fit_levels(cfg))
     report.wall_clock = time.perf_counter() - t_start
     return report
 
@@ -640,23 +617,29 @@ def mesh_independence_study(
     cfg: ConvergenceConfig, N_values: Sequence[int], jobs: int = 1
 ) -> ExperimentReport:
     """The convergence study repeated over meshes, each against its own
-    reference on the same mesh; a single N reduces to one study."""
+    reference on the same mesh; a single N reduces to one study. Rows
+    follow the meshes in order, and each mesh's slope and divergence keys
+    carry its ``[N=<N>]``."""
     _no_duplicates("N", N_values)
     subs = [replace(cfg, N=int(N)) for N in N_values]
     for sub in subs:  # reject an oversized mesh before running the first
         _check_study_memory(sub, jobs, path_level(sub.T, sub.ref_level))
-    reports = []
+    if len(subs) == 1:
+        return mean_square_error_study(subs[0], jobs=jobs)
+    report = ExperimentReport(
+        kind="mesh_study",
+        columns=CONVERGENCE_COLUMNS,
+        rows=[],
+        config_echo={**_echo(cfg), "N": config_text(tuple(sub.N for sub in subs))},
+        master_seed=cfg.master_seed,
+    )
     for sub in subs:
-        rep = mean_square_error_study(sub, jobs=jobs)
-        if len(subs) > 1:
-            rep.slopes = {f"{name}[N={sub.N}]": s for name, s in rep.slopes.items()}
-        reports.append(rep)
-    if len(reports) == 1:
-        return reports[0]
-    merged = merge_reports(reports)
-    merged.kind = "mesh_study"
-    merged.config_echo = {**_echo(cfg), "N": config_text(tuple(sub.N for sub in subs))}
-    return merged
+        study = mean_square_error_study(sub, jobs=jobs)
+        report.rows += study.rows
+        report.slopes.update((f"{name}[N={sub.N}]", s) for name, s in study.slopes.items())
+        report.diverged.update((f"{name}[N={sub.N}]", n) for name, n in study.diverged.items())
+        report.wall_clock += study.wall_clock
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ product (small grids) or via the FFT-based DST-I, which with 'ortho'
 normalization is exactly that matrix and is its own inverse.
 
 scipy is imported only by the calls that use it: scipy.fft when an
-operator on the DST path is built, scipy.linalg by the 1d implicit solve
-and dense_semigroup.
+operator on the DST path is built, scipy.linalg by implicit_factor and
+solve_implicit_array in 1d and by dense_semigroup. A StepContext calls
+implicit_factor at its first SEM step, so a 1d run without SEM, like
+every 2d run, never loads scipy.linalg.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -47,7 +48,9 @@ class StepContext:
 
     Holds the two per-tau precomputations of the operator: the semigroup
     spectral multipliers (LT, SEXP) and the implicit factor (SEM), which
-    the steps hand to op.semigroup_array and op.solve_implicit_array.
+    the steps hand to op.semigroup_array and op.solve_implicit_array. Each
+    is built on the first step that reads it, so in 1d scipy.linalg is
+    imported by the first SEM step and not at all by runs without SEM.
     """
 
     def __init__(self, op: HeatOperator, nl: Nonlinearity, tau: float):
@@ -56,8 +59,14 @@ class StepContext:
         self.op = op
         self.nl = nl
         self.tau = tau
-        self.semigroup_mult = op.semigroup_multipliers(tau)
-        self.implicit_factor = op.implicit_factor(tau)
+
+    @cached_property
+    def semigroup_mult(self) -> np.ndarray:
+        return self.op.semigroup_multipliers(self.tau)
+
+    @cached_property
+    def implicit_factor(self) -> np.ndarray:
+        return self.op.implicit_factor(self.tau)
 
 
 def _expand_increment(dbeta, d: int):

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from spde_lab.experiments import (
+    CENSUS_G,
     CensusConfig,
     ConvergenceConfig,
     mean_square_error_study,
@@ -31,7 +32,6 @@ from spde_lab.integrators import IntegratorKind
 from spde_lab import selftest
 
 JOBS = 2
-CENSUS_G = ("linear", "rational", "sineplus", "log1p")
 LT_ONLY = (IntegratorKind.LT,)
 
 

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import re
 import warnings
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 
@@ -22,7 +23,6 @@ from spde_lab.experiments import (
     dyadic_exponent,
     fit_slope,
     mean_square_error_study,
-    merge_reports,
     mesh_independence_study,
     moment_bound_study,
     path_level,
@@ -224,6 +224,21 @@ def test_mesh_study_combines_meshes():
     assert rep.kind == "mesh_study"
 
 
+@given(Ns=st.lists(st.sampled_from((16, 32, 64)), min_size=2, max_size=3, unique=True),
+       samples=st.integers(1, 4), seed=st.integers(0, 2**64 - 1))
+def test_mesh_study_counts_divergences_per_mesh(Ns, samples, seed):
+    # at T 16 and tau 2^-3 explicit Euler overflows on N >= 32, so every example has counts
+    cfg = ConvergenceConfig(T=16.0, levels=(2, 3), ref_level=5, integrators=(LT, EM),
+                            samples=samples, master_seed=seed)
+    rep = mesh_independence_study(cfg, Ns)
+    assert rep.diverged
+    for name, count in rep.diverged.items():
+        assert 0 < count <= samples, name
+        assert re.fullmatch(r"em@[23]\[N=(16|32|64)\]", name), name
+    assert rep.diverged == {f"{name}[N={N}]": count for N in Ns
+                            for name, count in mean_square_error_study(replace(cfg, N=N)).diverged.items()}
+
+
 def test_moment_profiles_stable_across_levels():
     cfg = ConvergenceConfig(g_name="rational", N=16, levels=(3, 4, 5), ref_level=8, samples=40, master_seed=3)
     profiles = moment_bound_study(cfg)
@@ -311,16 +326,6 @@ def test_write_report_io_error(tmp_path):
         write_report(rep, missing)
 
 
-def test_merge_reports():
-    a = positivity_census(CensusConfig(g_name="linear", **SMALL_CENSUS))
-    b = positivity_census(CensusConfig(g_name="rational", **SMALL_CENSUS))
-    merged = merge_reports([a, b])
-    assert len(merged.rows) == len(a.rows) + len(b.rows)
-    assert merged.config_echo["g"] == "linear+rational"
-    with pytest.raises(ValueError):
-        merge_reports([a, mean_square_error_study(ConvergenceConfig(g_name="rational", **SMALL_STUDY))])
-
-
 # -- one census over several g
 
 
@@ -338,21 +343,20 @@ def counting(monkeypatch, name):
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_census_over_all_g_equals_merged_single_g_reports(tmp_path, monkeypatch,
-                                                         four_cpu_machine, jobs):
+def test_census_over_all_g_equals_merged_single_g_reports(monkeypatch, four_cpu_machine, jobs):
     # at lambda 3, T 4 and N 128 the comparators lose positivity or diverge on
     # some samples, so the counts, and the divergences summed over g, vary
     cfgs = [CensusConfig(g_name=g, N=128, T=4.0, lam=3.0, samples=105, master_seed=8)
             for g in CENSUS_G]
-    merged = merge_reports([positivity_census(cfg, jobs=jobs) for cfg in cfgs])
+    singles = [positivity_census(cfg, jobs=jobs) for cfg in cfgs]
     maps, draws = counting(monkeypatch, "_map_blocks"), counting(monkeypatch, "sample_increment_batch")
     combined = positivity_census(*cfgs, jobs=jobs)
     assert len(maps) == 1
     if jobs == 1:  # the draws of forked workers are not seen here
         assert len(draws) == 3  # one per block, shared by every g and integrator
-    write_report(merged, tmp_path / "merged.csv")
-    write_report(combined, tmp_path / "combined.csv")
-    assert (tmp_path / "combined.csv").read_bytes() == (tmp_path / "merged.csv").read_bytes()
+    assert combined.rows == [row for single in singles for row in single.rows]
+    assert combined.diverged == sum((Counter(single.diverged) for single in singles), Counter())
+    assert combined.config_echo == {**singles[0].config_echo, "g": "+".join(sorted(CENSUS_G))}
     assert combined.diverged and 0 < sum(row[7] for row in combined.rows) < 16 * 105
 
 
@@ -366,12 +370,20 @@ def test_census_cli_makes_one_block_map_per_invocation(tmp_path, monkeypatch):
         out.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("field,value", [("d", 2), ("N", 32), ("T", 1.0), ("tau", 2.0**-4),
-                                         ("samples", 11), ("master_seed", 6)])
+# a value for every CensusConfig field but g_name, unlike SMALL_CENSUS's
+OTHER_RUN = {"d": 2, "N": 32, "T": 1.0, "tau": 2.0**-4, "samples": 11, "master_seed": 6,
+             "lam": 2.0, "integrators": (EM, SEM)}
+
+
+def test_other_run_covers_every_census_field_but_g():
+    assert set(OTHER_RUN) == {f.name for f in fields(CensusConfig)} - {"g_name"}
+
+
+@pytest.mark.parametrize("field,value", OTHER_RUN.items())
 def test_census_rejects_configs_that_do_not_share_a_run(field, value):
     a = CensusConfig(g_name="linear", **SMALL_CENSUS)
     b = replace(a, g_name="rational", **{field: value})
-    with pytest.raises(ValueError, match=f"differ in {field}"):
+    with pytest.raises(ValueError, match=f"differ in {field};"):
         positivity_census(a, b)
 
 

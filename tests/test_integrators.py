@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spde_lab.experiments import CENSUS_G
 from spde_lab.heat_operator import HeatOperator
 from spde_lab.integrators import (
     EXP_ARG_MAX,
@@ -136,7 +137,7 @@ def test_scalar_oracle_all_integrators(g_name):
 # -- positivity ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("g_name", ["linear", "rational", "sineplus", "log1p"])
+@pytest.mark.parametrize("g_name", CENSUS_G)
 @pytest.mark.parametrize("grid_args,tau", [((1, 64), 0.03125), ((1, 16), 4.0), ((2, 8), 0.5)])
 def test_lt_paths_stay_nonnegative(g_name, grid_args, tau):
     # no step-size restriction: tau can exceed the mesh CFL limit freely

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spde_lab.experiments import CENSUS_G
 from spde_lab.nonlinearity import (
     CLI_NAMES,
     EPS_DOM,
@@ -21,7 +22,7 @@ from spde_lab.nonlinearity import (
     zero,
 )
 
-ALL_NAMES = ("linear", "rational", "sineplus", "log1p", "zero")
+ALL_NAMES = tuple(CLI_NAMES)
 
 
 def test_linear_f_constant():
@@ -141,7 +142,7 @@ def test_from_name_rejects_unknown():
 
 def test_nan_propagates():
     # the zero map is excluded: g = 0 sends every input to 0 by definition
-    for name in ("linear", "rational", "sineplus", "log1p"):
+    for name in CENSUS_G:
         nl = from_name(name, 2.5)
         assert math.isnan(float(eval_g(nl, float("nan"))))
 

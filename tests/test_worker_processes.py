@@ -72,3 +72,26 @@ def test_scipy_is_loaded_only_by_runs_that_use_it():
     assert seen["census-2d"] == []  # N = 16: matmul transforms, spectral SEM
     assert "scipy.fft" in seen["operator-1d-256"]  # N = 256: the DST-I path
     assert "spde_lab.selftest" not in seen["operator-1d-256"]
+
+
+SCIPY_LINALG = """
+import json, sys
+from spde_lab import CensusConfig, ConvergenceConfig, IntegratorKind
+from spde_lab.experiments import mean_square_error_study, positivity_census
+seen = {}
+for N in (64, 256):  # the matmul and the DST-I transform paths
+    mean_square_error_study(ConvergenceConfig(N=N, levels=(2, 3), ref_level=5, samples=2,
+                                              integrators=(IntegratorKind.LT,)))
+    positivity_census(CensusConfig(N=N, T=0.25, samples=2, integrators=(IntegratorKind.SEXP,)))
+    seen[f"lt-sexp-1d-{N}"] = "scipy.linalg" in sys.modules
+positivity_census(CensusConfig(N=16, T=0.25, samples=2, integrators=(IntegratorKind.SEM,)))
+seen["sem-1d"] = "scipy.linalg" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_linalg_is_loaded_only_by_a_1d_sem_step():
+    proc = subprocess.run([sys.executable, "-c", SCIPY_LINALG], env=_env("1"), check=True,
+                          capture_output=True, text=True, timeout=600)
+    assert json.loads(proc.stdout) == {"lt-sexp-1d-64": False, "lt-sexp-1d-256": False,
+                                       "sem-1d": True}
