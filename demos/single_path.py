@@ -12,7 +12,6 @@ import numpy as np
 from spde_lab import (
     Grid,
     HeatOperator,
-    InitialData,
     IntegratorKind,
     StepContext,
     exact_linear_solution,
@@ -20,15 +19,16 @@ from spde_lab import (
     run_path,
     sample_initial,
     sample_path,
+    sine_initial,
 )
 
 if __name__ == "__main__":
     grid = Grid(1, 2**6)
     op = HeatOperator(grid)
-    u0 = sample_initial(InitialData.sine_1d(), grid)
-    path = sample_path(T=2.0, level=6, master_seed=2024, sample_index=6)
+    u0 = sample_initial(sine_initial, grid)
     tau = 2.0 ** -5
-    increments = path.coarsen(6)  # 64 steps of size 2^-5
+    # 64 steps of size 2^-5
+    increments = sample_path(T=2.0, level=6, master_seed=2024, sample_index=6)
 
     print("one path, g(v) = 2.5 v/(1+v^2), tau = 2^-5, N = 2^6:")
     ctx = StepContext(op, from_name("rational", 2.5), tau)

@@ -4,9 +4,9 @@ comparator integrators and Monte Carlo experiment drivers."""
 
 __version__ = "0.1.0"
 
-from .mesh import Grid, GridField, InitialData, min_value, sample_initial, sup_norm
+from .mesh import Grid, GridField, min_value, sample_initial, sine_initial, sup_norm
 from .heat_operator import HeatOperator, PositivityDiagnosticsError
-from .noise_paths import BrownianPath, coarsen_increments, sample_path
+from .noise_paths import coarsen_increments, sample_path
 from .nonlinearity import (
     Nonlinearity,
     NonlinearityKind,
@@ -25,10 +25,7 @@ from .integrators import (
     StepContext,
     exact_linear_solution,
     run_path,
-    step_em,
-    step_lt,
-    step_sem,
-    step_sexp,
+    step,
 )
 from .experiments import (
     CensusConfig,
@@ -44,13 +41,12 @@ from .experiments import (
 __all__ = [
     "Grid",
     "GridField",
-    "InitialData",
     "sample_initial",
+    "sine_initial",
     "sup_norm",
     "min_value",
     "HeatOperator",
     "PositivityDiagnosticsError",
-    "BrownianPath",
     "sample_path",
     "coarsen_increments",
     "Nonlinearity",
@@ -67,10 +63,7 @@ __all__ = [
     "StepContext",
     "PathRecord",
     "run_path",
-    "step_lt",
-    "step_em",
-    "step_sem",
-    "step_sexp",
+    "step",
     "exact_linear_solution",
     "CensusConfig",
     "ConvergenceConfig",

@@ -59,20 +59,22 @@ class RunSpec:
 
 
 def parse_tau(text: str) -> float:
-    """Accept 2^-j literals or decimals equal to an exact power of two."""
+    """Accept 2^-j literals or decimals equal to an exact power of two, each
+    a positive float64 (2^-2000 rounds to 0 and is rejected)."""
     s = str(text).strip()
     try:
         if "^" in s:
             base, exp = s.split("^", 1)
             if base.strip() != "2":
                 raise ValueError
-            return 2.0 ** int(exp)
-        value = float(s)
+            value = 2.0 ** int(exp)
+        else:
+            value = float(s)
         dyadic_exponent(value)
         return value
     except (ValueError, OverflowError):
         raise UsageError(
-            f"--tau {text!r} is not dyadic; use a 2^-j literal or an exact power of two"
+            f"--tau {text!r} is not dyadic in float64; use a 2^-j literal or an exact power of two"
         ) from None
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .heat_operator import HeatOperator
 from .integrators import IntegratorKind, StepContext, evolve, exact_linear_array
-from .mesh import Grid, GridField, InitialData, min_value, sample_initial
+from .mesh import Grid, GridField, min_value, sample_initial, sine_initial
 from .nonlinearity import Nonlinearity, NonlinearityKind, from_name
 from .noise_paths import (
     MAX_LEVEL,
@@ -77,9 +77,10 @@ def path_level(T: float, level: int) -> int:
     number of steps M = T * 2^level must be a power of two."""
     ell = level + dyadic_exponent(T)
     if ell < 0:
-        raise ValueError(f"tau = 2^-{level} exceeds the horizon T = {T}")
+        raise ValueError(f"tau = 2^{-level} exceeds the horizon T = {T}")
     if ell > MAX_LEVEL:
-        raise ValueError(f"path level {ell} exceeds the cap {MAX_LEVEL}")
+        raise ValueError(f"tau = 2^{-level} over T = {T} takes 2^{ell} steps, "
+                         f"more than the cap 2^{MAX_LEVEL}")
     return ell
 
 
@@ -118,12 +119,16 @@ class CensusConfig:
 
     def __post_init__(self):
         _check_shared(self)
-        path_level(self.T, dyadic_exponent(1.0 / self.tau))
+        try:
+            level = -dyadic_exponent(self.tau)
+        except ValueError as exc:
+            raise ValueError(f"tau = {exc}") from None
+        path_level(self.T, level)
         from_name(self.g_name, self.lam)  # validates the tag
 
     @property
     def level(self) -> int:
-        return dyadic_exponent(1.0 / self.tau)
+        return -dyadic_exponent(self.tau)
 
     @property
     def steps(self) -> int:
@@ -352,35 +357,33 @@ def _map_blocks(samples: int, jobs: int, task) -> dict:
     return total
 
 
-def _check_memory(samples: int, jobs: int, fine_level: int, checkpoint_values: int = 0) -> None:
+def _check_memory(cfg: CensusConfig | ConvergenceConfig, jobs: int, fine_level: int) -> None:
     """Reject a run whose blocks in flight need more float64 bytes than the
     machine has, before any of them is allocated. The estimate is a lower
-    bound: per block, the increments (B x 2^fine_level) and, for the
-    studies, two checkpoint arrays of ``checkpoint_values`` per sample."""
-    B = min(samples, BLOCK_SAMPLES)
-    in_flight = _workers(samples, jobs)
-    need = 8 * B * (2**fine_level + 2 * checkpoint_values) * in_flight
+    bound: per block of B samples, the increments (B x 2^fine_level), two
+    fields (a step's input and output) and, for the studies, two checkpoint
+    arrays (a run's and the one it is compared with)."""
+    B = min(cfg.samples, BLOCK_SAMPLES)
+    in_flight = _workers(cfg.samples, jobs)
+    n = (cfg.N - 1) ** cfg.d
+    held = {f"{B} x 2^{fine_level} increments": 2**fine_level,
+            f"two {B} x {n} fields (step input and output)": 2 * n}
+    if isinstance(cfg, ConvergenceConfig):
+        cp = (2 ** path_level(cfg.T, cfg.levels[0]) + 1) * n
+        held[f"two {B} x {cp} checkpoint arrays"] = 2 * cp
+    need = 8 * B * sum(held.values()) * in_flight
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        held = f"{B} x 2^{fine_level} increments"
-        if checkpoint_values:
-            held += f" and two {B} x {checkpoint_values} checkpoint arrays"
         raise ValueError(
             f"run needs at least {need / 1e9:.2f} GB of memory: {in_flight} block(s) in "
-            f"flight, each holding {held}, but the machine has {have / 1e9:.2f} GB"
+            f"flight, each holding {', '.join(held)}, but the machine has {have / 1e9:.2f} GB"
         )
-
-
-def _check_study_memory(cfg: ConvergenceConfig, jobs: int, fine_level: int) -> None:
-    M0 = 2 ** path_level(cfg.T, cfg.levels[0])
-    _check_memory(cfg.samples, jobs, fine_level, (M0 + 1) * (cfg.N - 1) ** cfg.d)
 
 
 def _setup(cfg: CensusConfig | ConvergenceConfig) -> tuple[HeatOperator, Nonlinearity, GridField]:
     """The operator, the nonlinearity and the sine initial data of a run."""
     grid = Grid(cfg.d, cfg.N)
-    data = InitialData.sine_1d() if cfg.d == 1 else InitialData.sine_product_2d()
-    return HeatOperator(grid), from_name(cfg.g_name, cfg.lam), sample_initial(data, grid)
+    return HeatOperator(grid), from_name(cfg.g_name, cfg.lam), sample_initial(sine_initial, grid)
 
 
 def _tile_initial(u0: GridField, count: int) -> np.ndarray:
@@ -414,7 +417,7 @@ def positivity_census(*cfgs: CensusConfig, jobs: int = 1) -> ExperimentReport:
                              "the configs of one census differ in g alone")
     t_start = time.perf_counter()
     level = path_level(cfg.T, cfg.level)
-    _check_memory(cfg.samples, jobs, level)
+    _check_memory(cfg, jobs, level)
     op, _, u0 = _setup(cfg)
     if min_value(u0) < 0:
         raise ValueError("positivity census requires nonnegative initial data")
@@ -502,7 +505,7 @@ def _coupled_sums(
     (checkpoints, *grid), and "used": the number of those samples.
     """
     path_fine = path_level(cfg.T, fine_level)
-    _check_study_memory(cfg, jobs, path_fine)
+    _check_memory(cfg, jobs, path_fine)
     op, nl, u0 = _setup(cfg)
     M0 = 2 ** path_level(cfg.T, cfg.levels[0])  # checkpoint intervals
     cp_times = np.arange(M0 + 1) * (cfg.T / M0)
@@ -623,7 +626,7 @@ def mesh_independence_study(
     _no_duplicates("N", N_values)
     subs = [replace(cfg, N=int(N)) for N in N_values]
     for sub in subs:  # reject an oversized mesh before running the first
-        _check_study_memory(sub, jobs, path_level(sub.T, sub.ref_level))
+        _check_memory(sub, jobs, path_level(sub.T, sub.ref_level))
     if len(subs) == 1:
         return mean_square_error_study(subs[0], jobs=jobs)
     report = ExperimentReport(

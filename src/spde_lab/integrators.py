@@ -147,37 +147,16 @@ def evolve(ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarr
     return clamped
 
 
-# -- GridField-level steps ---------------------------------------------------
+# -- GridField-level step and full-path driver --------------------------------
 
 
-def _step(kind: IntegratorKind, ctx: StepContext, u: GridField, dbeta: float) -> GridField:
+def step(kind: IntegratorKind, ctx: StepContext, u: GridField, dbeta: float) -> GridField:
+    """One step of ``kind`` from the field u with the scalar increment dbeta;
+    LT maps u >= 0 to u >= 0 for any tau."""
     if u.grid != ctx.op.grid:
         raise ValueError("field grid does not match the step context")
     out, _ = UPDATES[kind](ctx, u.values_nd(), float(dbeta))
     return GridField(u.grid, out.reshape(-1))
-
-
-def step_lt(ctx: StepContext, u: GridField, dbeta: float) -> GridField:
-    """Lie-Trotter splitting step; maps u >= 0 to u >= 0 for any tau."""
-    return _step(IntegratorKind.LT, ctx, u, dbeta)
-
-
-def step_em(ctx: StepContext, u: GridField, dbeta: float) -> GridField:
-    """Explicit Euler-Maruyama step."""
-    return _step(IntegratorKind.EM, ctx, u, dbeta)
-
-
-def step_sem(ctx: StepContext, u: GridField, dbeta: float) -> GridField:
-    """Semi-implicit Euler-Maruyama step (implicit in the heat part)."""
-    return _step(IntegratorKind.SEM, ctx, u, dbeta)
-
-
-def step_sexp(ctx: StepContext, u: GridField, dbeta: float) -> GridField:
-    """Stochastic exponential Euler step."""
-    return _step(IntegratorKind.SEXP, ctx, u, dbeta)
-
-
-# -- full-path driver --------------------------------------------------------
 
 
 @dataclass(eq=False)
@@ -194,7 +173,6 @@ class PathRecord:
     running_min: float
     sup_norms: np.ndarray
     final: GridField
-    trajectory: list[GridField] | None = None
     diverged: bool = False
     diverged_step: int | None = None
     clamp_events: int = 0
@@ -206,20 +184,11 @@ class PathRecord:
         return (not self.diverged) and self.running_min >= 0.0
 
 
-def run_path(
-    kind: IntegratorKind,
-    ctx: StepContext,
-    u0: GridField,
-    increments: np.ndarray,
-    record_mode: str = "summary",
-) -> PathRecord:
-    """Iterate one integrator over a whole increment sequence.
-
-    record_mode "summary" keeps the running minimum, per-step sup norms and
-    the final field; "full" additionally stores every intermediate field.
-    """
-    if record_mode not in ("summary", "full"):
-        raise ValueError(f"unknown record_mode {record_mode!r}")
+def run_path(kind: IntegratorKind, ctx: StepContext, u0: GridField,
+             increments: np.ndarray) -> PathRecord:
+    """Iterate one integrator over a whole increment sequence, keeping the
+    running minimum, per-step sup norms and the final field. evolve's
+    visitor sees every intermediate field."""
     increments = np.asarray(increments, dtype=np.float64)
     M = increments.size
     if M < 1:
@@ -228,7 +197,6 @@ def run_path(
         raise ValueError("initial field grid does not match the step context")
 
     sup_norms = np.empty(M + 1)
-    trajectory = [] if record_mode == "full" else None
     running_min = np.inf
     diverged_step = None
     final = u0.values_nd()
@@ -240,12 +208,10 @@ def run_path(
         # np.minimum propagates NaN, so a corrupted step poisons the min
         running_min = float(np.minimum(running_min, np.min(U)))
         sup_norms[i] = np.max(np.abs(U))
-        if trajectory is not None:
-            trajectory.append(GridField(u0.grid, U.reshape(-1)) if i else u0)
         final = U
 
-    # one path per call, bitwise as the step_* functions: as a row of a larger
-    # batch it would go through gemm, not gemv, on the 1d matmul path
+    # one path per call, bitwise as step: as a row of a larger batch it
+    # would go through gemm, not gemv, on the 1d matmul path
     clamp_events = evolve(ctx, kind, u0.values_nd(), increments.reshape(-1), 1, track)
     return PathRecord(
         kind=kind,
@@ -253,7 +219,6 @@ def run_path(
         running_min=running_min,
         sup_norms=sup_norms,
         final=GridField(u0.grid, final.reshape(-1)),
-        trajectory=trajectory,
         diverged=diverged_step is not None,
         diverged_step=diverged_step,
         clamp_events=clamp_events,

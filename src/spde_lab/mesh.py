@@ -6,6 +6,7 @@ are never stored. Layout for d=2 is row-major with the second axis fastest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,35 +87,16 @@ class GridField:
         return self.grid == other.grid and np.array_equal(self.values, other.values)
 
 
-@dataclass(frozen=True)
-class InitialData:
-    """Initial condition u_0 on [0,1]^d, vanishing on the boundary.
-
-    The evaluator takes one coordinate array per axis (vectorized) and
-    returns u_0 at those points.
-    """
-
-    evaluator: Callable[..., np.ndarray]
-
-    @staticmethod
-    def sine_1d() -> "InitialData":
-        """u_0(x) = sin(pi x)."""
-        return InitialData(lambda x: np.sin(np.pi * x))
-
-    @staticmethod
-    def sine_product_2d() -> "InitialData":
-        """u_0(x1, x2) = sin(pi x1) sin(pi x2)."""
-        return InitialData(lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-
-    @staticmethod
-    def custom(evaluator: Callable[..., np.ndarray]) -> "InitialData":
-        return InitialData(evaluator)
+def sine_initial(*coords: np.ndarray) -> np.ndarray:
+    """u_0 = prod_i sin(pi x_i), one coordinate array per axis (vectorized):
+    sin(pi x) in 1d, sin(pi x1) sin(pi x2) in 2d."""
+    return math.prod(np.sin(np.pi * x) for x in coords)
 
 
 _BOUNDARY_TOL = 1e-12
 
 
-def _check_boundary(data: InitialData, grid: Grid) -> None:
+def _check_boundary(u0: Callable[..., np.ndarray], grid: Grid) -> None:
     # Sample u_0 on the boundary of [0,1]^d at grid resolution; it must vanish.
     t = np.linspace(0.0, 1.0, grid.N + 1)
     if grid.d == 1:
@@ -124,7 +106,7 @@ def _check_boundary(data: InitialData, grid: Grid) -> None:
         o = np.ones_like(t)
         pts = [(z, t), (o, t), (t, z), (t, o)]
     for coords in pts:
-        vals = np.asarray(data.evaluator(*coords), dtype=np.float64)
+        vals = np.asarray(u0(*coords), dtype=np.float64)
         bad = np.abs(vals) > _BOUNDARY_TOL
         if bad.any():
             i = int(np.argmax(bad))
@@ -135,20 +117,17 @@ def _check_boundary(data: InitialData, grid: Grid) -> None:
             )
 
 
-def sample_initial(data: InitialData, grid: Grid) -> GridField:
-    """Evaluate u_0 at the interior grid points.
+def sample_initial(u0: Callable[..., np.ndarray], grid: Grid) -> GridField:
+    """Evaluate u_0 at the interior grid points. u0 takes one coordinate
+    array per axis (vectorized), as sine_initial does.
 
     Raises ValueError if u_0 fails to vanish on the boundary (to 1e-12) or
-    the evaluator returns a non-finite value, naming the offending point.
+    u0 returns a non-finite value, naming the offending point.
     """
-    _check_boundary(data, grid)
+    _check_boundary(u0, grid)
     x = grid.axis_coords()
-    if grid.d == 1:
-        vals = np.asarray(data.evaluator(x), dtype=np.float64)
-    else:
-        x1, x2 = np.meshgrid(x, x, indexing="ij")
-        vals = np.asarray(data.evaluator(x1, x2), dtype=np.float64)
-    vals = vals.reshape(grid.shape)
+    coords = (x,) if grid.d == 1 else np.meshgrid(x, x, indexing="ij")
+    vals = np.asarray(u0(*coords), dtype=np.float64).reshape(grid.shape)
     if not np.isfinite(vals).all():
         flat_bad = int(np.argmax(~np.isfinite(vals).reshape(-1)))
         idx = np.unravel_index(flat_bad, grid.shape)

@@ -9,46 +9,12 @@ the samples are scheduled across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MAX_LEVEL = 24
 
 #: Recorded in report metadata; the scheme is deterministic given the key.
 RNG_METHOD = "philox4x64 keyed (master_seed, sample_index); ziggurat standard_normal"
-
-
-@dataclass(frozen=True, eq=False)
-class BrownianPath:
-    """2^level i.i.d. N(0, T/2^level) increments over [0, T]."""
-
-    T: float
-    level: int
-    increments: np.ndarray
-
-    def __post_init__(self):
-        if self.increments.size != 2**self.level:
-            raise ValueError(
-                f"expected 2^{self.level} increments, got {self.increments.size}"
-            )
-        self.increments.setflags(write=False)
-
-    @property
-    def tau_min(self) -> float:
-        return self.T / 2**self.level
-
-    def coarsen(self, level: int) -> np.ndarray:
-        """Increments at a coarser dyadic level ``level`` <= path level.
-
-        Coarse increment m is the sum of its 2^(L-level) fine children,
-        blocks summed in a fixed deterministic order.
-        """
-        return coarsen_increments(self.increments, self.level, level)
-
-    def partial_sums(self) -> np.ndarray:
-        """beta(t) at the fine step times t_1..t_{2^L} (sequential cumsum)."""
-        return np.cumsum(self.increments)
 
 
 def coarsen_increments(increments: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
@@ -73,14 +39,18 @@ def check_key(name: str, value: int) -> None:
         raise ValueError(f"{name} must be in [0, 2^64), got {value}")
 
 
-def sample_path(T: float, level: int, master_seed: int, sample_index: int) -> BrownianPath:
-    """Draw the Brownian path for one sample index.
+def sample_path(T: float, level: int, master_seed: int, sample_index: int) -> np.ndarray:
+    """The 2^level i.i.d. N(0, T/2^level) increments over [0, T] of one
+    sample index, read-only: the one-row case of sample_increment_batch.
 
     Deterministic in (master_seed, sample_index): the same pair always
-    yields bit-identical increments, independent of call order.
+    yields bit-identical increments, independent of call order. Coarser
+    levels come from coarsen_increments, beta(t) from np.cumsum.
     """
-    batch = sample_increment_batch(T, level, master_seed, range(sample_index, sample_index + 1))
-    return BrownianPath(T, level, batch[0])
+    (increments,) = sample_increment_batch(T, level, master_seed,
+                                           range(sample_index, sample_index + 1))
+    increments.setflags(write=False)
+    return increments
 
 
 def sample_increment_batch(

@@ -16,10 +16,10 @@ import numpy as np
 
 from .experiments import CENSUS_G
 from .heat_operator import HeatOperator
-from .integrators import IntegratorKind, StepContext, run_path, step_em, step_lt, step_sem, step_sexp
+from .integrators import IntegratorKind, StepContext, run_path, step
 from .mesh import Grid, GridField, min_value, sup_norm
 from .nonlinearity import CLI_NAMES, from_name, zero
-from .noise_paths import sample_path
+from .noise_paths import coarsen_increments, sample_path
 
 
 @dataclass
@@ -107,17 +107,17 @@ def check_implicit_residual() -> CheckResult:
 def check_brownian_coarsening() -> CheckResult:
     path = sample_path(T=1.0, level=12, master_seed=7, sample_index=3)
     again = sample_path(T=1.0, level=12, master_seed=7, sample_index=3)
-    if not np.array_equal(path.increments, again.increments):
+    if not np.array_equal(path, again):
         return CheckResult("Brownian coarsening consistency", False, "resampling not bit-identical")
-    if not np.array_equal(path.coarsen(12), path.increments):
+    if not np.array_equal(coarsen_increments(path, 12, 12), path):
         return CheckResult("Brownian coarsening consistency", False, "identity coarsening differs")
-    pairs = path.increments.reshape(-1, 2)
-    if not np.array_equal(path.coarsen(11), pairs[:, 0] + pairs[:, 1]):
+    pairs = path.reshape(-1, 2)
+    if not np.array_equal(coarsen_increments(path, 12, 11), pairs[:, 0] + pairs[:, 1]):
         return CheckResult("Brownian coarsening consistency", False, "pair sums differ")
-    fine_partial = path.partial_sums()
+    fine_partial = np.cumsum(path)
     worst = 0.0
     for j in (4, 7, 10):
-        coarse = path.coarsen(j)
+        coarse = coarsen_increments(path, 12, j)
         block = 2 ** (12 - j)
         dev = np.abs(np.cumsum(coarse) - fine_partial[block - 1 :: block])
         worst = max(worst, float(dev.max()))
@@ -159,19 +159,13 @@ def check_scalar_oracle() -> CheckResult:
             fld = GridField(grid, [u])
             f = f_hand(lam, u)
             expect = {
-                "lt": math.exp(-8 * tau) * u * math.exp(f * db - f * f * tau / 2),
-                "em": u + tau * (-8 * u) + g_hand(lam, u) * db,
-                "sem": (u + g_hand(lam, u) * db) / (1 + 8 * tau),
-                "sexp": math.exp(-8 * tau) * (u + g_hand(lam, u) * db),
+                IntegratorKind.LT: math.exp(-8 * tau) * u * math.exp(f * db - f * f * tau / 2),
+                IntegratorKind.EM: u + tau * (-8 * u) + g_hand(lam, u) * db,
+                IntegratorKind.SEM: (u + g_hand(lam, u) * db) / (1 + 8 * tau),
+                IntegratorKind.SEXP: math.exp(-8 * tau) * (u + g_hand(lam, u) * db),
             }
-            got = {
-                "lt": step_lt(ctx, fld, db),
-                "em": step_em(ctx, fld, db),
-                "sem": step_sem(ctx, fld, db),
-                "sexp": step_sexp(ctx, fld, db),
-            }
-            for key, ref in expect.items():
-                dev = abs(float(got[key].values[0]) - ref) / max(1.0, abs(ref))
+            for kind, ref in expect.items():
+                dev = abs(float(step(kind, ctx, fld, db).values[0]) - ref) / max(1.0, abs(ref))
                 worst = max(worst, dev)
     return _result(name, worst, 1e-13)
 
@@ -204,24 +198,23 @@ def check_zero_reductions() -> CheckResult:
         u = GridField(grid, rng.uniform(0.0, 1.0, grid.n_interior))
         db = 0.7
         heat = op.apply_semigroup(0.125, u)
-        if not np.array_equal(step_lt(ctx, u, db).values, heat.values):
+        if not np.array_equal(step(IntegratorKind.LT, ctx, u, db).values, heat.values):
             return CheckResult("zero-noise reductions", False, "LT != heat flow for g = 0")
-        if not np.array_equal(step_sexp(ctx, u, db).values, heat.values):
+        if not np.array_equal(step(IntegratorKind.SEXP, ctx, u, db).values, heat.values):
             return CheckResult("zero-noise reductions", False, "SEXP != heat flow for g = 0")
         euler = u.values + 0.125 * op.apply_laplacian(u).values
-        if not np.array_equal(step_em(ctx, u, db).values, euler):
+        if not np.array_equal(step(IntegratorKind.EM, ctx, u, db).values, euler):
             return CheckResult("zero-noise reductions", False, "EM != explicit Euler for g = 0")
         implicit = op.solve_implicit(0.125, u)
-        if not np.array_equal(step_sem(ctx, u, db).values, implicit.values):
+        if not np.array_equal(step(IntegratorKind.SEM, ctx, u, db).values, implicit.values):
             return CheckResult("zero-noise reductions", False, "SEM != implicit Euler for g = 0")
         # zero field is a fixed point of every integrator (g(0) = 0)
         z = GridField(grid, np.zeros(grid.n_interior))
         for name, ctx2 in (("zero", ctx), ("rational", StepContext(op, from_name("rational", 2.5), 0.125))):
-            for step in (step_lt, step_em, step_sem, step_sexp):
-                out = step(ctx2, z, db)
-                if np.any(out.values != 0.0):
+            for kind in IntegratorKind:
+                if np.any(step(kind, ctx2, z, db).values != 0.0):
                     return CheckResult(
-                        "zero-noise reductions", False, f"0 not fixed under {step.__name__} ({name})"
+                        "zero-noise reductions", False, f"0 not fixed under {kind.value} ({name})"
                     )
     return CheckResult("zero-noise reductions", True, "exact reductions and zero fixed point")
 

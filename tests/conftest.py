@@ -14,15 +14,16 @@ settings.load_profile("spde-lab")
 @pytest.fixture
 def eight_gb_machine(monkeypatch):
     """Pin physical memory at 8 GiB, so the memory guard's verdict does not
-    depend on the host, and fail any driver that gets as far as drawing
-    increments."""
+    depend on the host, and fail any driver that gets as far as setting up
+    its grid or drawing increments."""
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
     monkeypatch.setattr(experiments.os, "sysconf", lambda name: pages[name])
 
-    def no_increments(*args):
+    def past_the_guard(*args):
         raise RuntimeError("the memory guard let an oversized run start")
 
-    monkeypatch.setattr(experiments, "sample_increment_batch", no_increments)
+    monkeypatch.setattr(experiments, "_setup", past_the_guard)
+    monkeypatch.setattr(experiments, "sample_increment_batch", past_the_guard)
 
 
 @pytest.fixture

@@ -28,6 +28,19 @@ def test_parse_tau_rejects_non_dyadic(bad):
         parse_tau(bad)
 
 
+@pytest.mark.parametrize("tau,message", [
+    ("2^-2000", "--tau '2^-2000' is not dyadic in float64"),  # rounds to 0.0
+    ("2^2000", "--tau '2^2000' is not dyadic in float64"),
+    ("5e-324", "tau = 2^-1074 over T = 2.0 takes 2^1075 steps, more than the cap 2^24"),
+    ("2^3", "tau = 2^3 exceeds the horizon T = 2.0"),
+])
+def test_census_tau_out_of_range_exits_1_naming_tau(tmp_path, capsys, tau, message):
+    out = tmp_path / "census.csv"
+    assert main(["census", "--tau", tau, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"spde-lab: error: {message}")
+    assert not out.exists()
+
+
 def test_parse_levels():
     assert parse_levels("4..12") == tuple(range(4, 13))
     assert parse_levels("4,6,8") == (4, 6, 8)

@@ -31,7 +31,7 @@ from spde_lab.experiments import (
 )
 from spde_lab.heat_operator import HeatOperator, PositivityDiagnosticsError
 from spde_lab.integrators import UPDATES, IntegratorKind, StepContext
-from spde_lab.mesh import Grid, InitialData, min_value, sample_initial
+from spde_lab.mesh import Grid, min_value, sample_initial, sine_initial
 from spde_lab.nonlinearity import from_name
 
 LT, EM, SEM, SEXP = (
@@ -65,6 +65,24 @@ def test_path_level():
     assert path_level(0.5, 16) == 15
     with pytest.raises(ValueError):
         path_level(0.5, 0)  # tau = 1 exceeds T
+    # the errors print the step size, a negative level's too
+    with pytest.raises(ValueError, match=re.escape("tau = 2^3 exceeds the horizon T = 2.0")):
+        path_level(2.0, -3)
+    with pytest.raises(ValueError, match=re.escape("tau = 2^-30 over T = 0.5 takes 2^29 steps")):
+        path_level(0.5, 30)
+
+
+@pytest.mark.parametrize("tau,message", [
+    (0.0, "tau = 0.0 is not a positive power of two"),
+    (-0.5, "tau = -0.5 is not a positive power of two"),
+    (math.nan, "tau = nan is not a positive power of two"),
+    (3.0, "tau = 3.0 is not an exact power of two"),
+    (5e-324, "tau = 2^-1074 over T = 2.0 takes 2^1075 steps"),
+    (8.0, "tau = 2^3 exceeds the horizon T = 2.0"),
+])
+def test_census_config_checks_tau_itself(tau, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CensusConfig(tau=tau)
 
 
 def test_config_validation():
@@ -459,7 +477,7 @@ def oracle_increments(B, M, poison=np.nan, tau=2.0**-5, seed=23):
 def oracle_setup(d, N, tau=2.0**-5):
     grid = Grid(d, N)
     ctx = StepContext(HeatOperator(grid), from_name("linear", 2.5), tau)
-    u0 = sample_initial(InitialData.sine_1d() if d == 1 else InitialData.sine_product_2d(), grid)
+    u0 = sample_initial(sine_initial, grid)
     return ctx, u0
 
 
@@ -544,7 +562,7 @@ def reference_study_setup(cfg):
     grid = Grid(cfg.d, cfg.N)
     op = HeatOperator(grid)
     nl = from_name(cfg.g_name, cfg.lam)
-    u0 = sample_initial(InitialData.sine_1d() if cfg.d == 1 else InitialData.sine_product_2d(), grid)
+    u0 = sample_initial(sine_initial, grid)
     M0 = 2 ** path_level(cfg.T, cfg.levels[0])
     contexts = {j: StepContext(op, nl, 2.0**-j) for j in cfg.levels}
     return op, u0, M0, contexts
@@ -763,7 +781,7 @@ def test_worker_count_is_capped_at_the_cpus(four_cpu_machine, eight_gb_machine, 
     assert fake_pool == [3]  # four processes: the parent and three workers
     # the memory guard counts the same blocks in flight
     with pytest.raises(ValueError, match=re.escape("4 block(s) in flight")):
-        experiments._check_memory(250_000, 5000, 24)
+        experiments._check_memory(CensusConfig(samples=250_000), 5000, 24)
 
 
 @needs_fork
@@ -808,7 +826,9 @@ def test_without_fork_blocks_run_in_process(monkeypatch, four_cpu_machine):
 
 @pytest.mark.parametrize("driver", [mean_square_error_study, moment_bound_study])
 def test_memory_guard_rejects_2d_n4096_study(eight_gb_machine, driver):
-    with pytest.raises(ValueError, match="needs at least 120.74 GB") as exc:
+    # the studies draw paths at different levels: 2^13 and 2^9 increments
+    gigabytes = {mean_square_error_study: "134.16", moment_bound_study: "134.15"}[driver]
+    with pytest.raises(ValueError, match=f"needs at least {gigabytes} GB") as exc:
         driver(ConvergenceConfig.default_2d(N=4096), jobs=1)
     assert "1 block(s) in flight" in str(exc.value)
     assert "two 50 x 150921225 checkpoint arrays" in str(exc.value)
@@ -820,16 +840,29 @@ def test_memory_guard_checks_every_mesh_first(eight_gb_machine, four_cpu_machine
         mesh_independence_study(cfg, [16, 64, 256, 1024], jobs=2)
     msg = str(exc.value)
     assert "2 block(s) in flight" in msg
-    assert "50 x 2^15 increments and two 50 x 9418761 checkpoint arrays" in msg
-    assert "needs at least 15.10 GB" in msg and "machine has 8.59 GB" in msg
+    assert ("50 x 2^15 increments, two 50 x 1046529 fields (step input and output), "
+            "two 50 x 9418761 checkpoint arrays") in msg
+    assert "needs at least 16.77 GB" in msg and "machine has 8.59 GB" in msg
 
 
 def test_memory_guard_rejects_census_increments(eight_gb_machine, four_cpu_machine):
-    message = "4 block(s) in flight, each holding 50 x 2^24 increments, but"
+    message = "4 block(s) in flight, each holding 50 x 2^24 increments, two 50 x 255 fields"
     with pytest.raises(ValueError, match=re.escape(message)):
         positivity_census(CensusConfig(tau=2.0**-23, T=2.0, samples=200), jobs=4)
 
 
+def test_memory_guard_counts_the_field_batch(eight_gb_machine, capsys, tmp_path):
+    # one 50 x 8191^2 field is 27 GB; the increments alone are 26 KB
+    out = tmp_path / "census.csv"
+    argv = ["census", "--d", "2", "--N", "8192", "--samples", "50", "--jobs", "1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "needs at least 53.67 GB" in err
+    assert "each holding 50 x 2^6 increments, two 50 x 67092481 fields (step input and output)" in err
+    assert not out.exists()
+
+
 def test_memory_guard_passes_runs_that_fit(eight_gb_machine):
-    experiments._check_memory(150, 2, 15, 9 * 255)  # 1d convergence default
-    experiments._check_memory(150, 2, 15, 9 * 255**2)  # 2d mesh-study at N = 256
+    experiments._check_memory(ConvergenceConfig(), 2, 15)  # 1d convergence default
+    experiments._check_memory(ConvergenceConfig(d=2, N=256), 2, 15)  # 2d mesh-study at N = 256
+    experiments._check_memory(CensusConfig.default_2d(N=1024), 2, 6)

@@ -20,12 +20,9 @@ from spde_lab.integrators import (
     run_path,
     sem_update,
     sexp_update,
-    step_em,
-    step_lt,
-    step_sem,
-    step_sexp,
+    step,
 )
-from spde_lab.mesh import Grid, GridField, InitialData, sample_initial
+from spde_lab.mesh import Grid, GridField, sample_initial, sine_initial
 from spde_lab.nonlinearity import (
     CLI_NAMES,
     Nonlinearity,
@@ -34,14 +31,9 @@ from spde_lab.nonlinearity import (
     linear,
     zero,
 )
-from spde_lab.noise_paths import sample_path
+from spde_lab.noise_paths import coarsen_increments, sample_path
 
-STEPS = {
-    IntegratorKind.LT: step_lt,
-    IntegratorKind.EM: step_em,
-    IntegratorKind.SEM: step_sem,
-    IntegratorKind.SEXP: step_sexp,
-}
+LT, EM, SEM, SEXP = IntegratorKind
 
 
 def make(grid_args, g_name, lam, tau):
@@ -57,22 +49,22 @@ def make(grid_args, g_name, lam, tau):
 def test_em_hand_example():
     # N=2, tau=0.1, u=(1), linear lam=1, db=0.05: 1 + 0.1*(-8) + 0.05
     op, ctx = make((1, 2), "linear", 1.0, 0.1)
-    out = step_em(ctx, GridField(op.grid, [1.0]), 0.05)
+    out = step(EM, ctx, GridField(op.grid, [1.0]), 0.05)
     assert out.values[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_sem_hand_example():
     op, ctx = make((1, 2), "linear", 1.0, 0.25)
-    out = step_sem(ctx, GridField(op.grid, [1.0]), 0.0)
+    out = step(SEM, ctx, GridField(op.grid, [1.0]), 0.0)
     assert out.values[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_lt_linear_one_step_closed_form():
     # for g(v)=v one LT step is e^{tau A} e^{db - tau/2} u
     op, ctx = make((1, 32), "linear", 1.0, 0.125)
-    u0 = sample_initial(InitialData.sine_1d(), op.grid)
+    u0 = sample_initial(sine_initial, op.grid)
     db = 0.21
-    got = step_lt(ctx, u0, db)
+    got = step(LT, ctx, u0, db)
     want = math.exp(db - 0.125 / 2) * op.apply_semigroup(0.125, u0).values
     assert np.allclose(got.values, want, rtol=1e-13)
 
@@ -82,7 +74,7 @@ def test_zero_field_is_fixed_point(kind):
     for grid_args in ((1, 16), (2, 5)):
         op, ctx = make(grid_args, "rational", 2.5, 0.3)
         z = GridField(op.grid, np.zeros(op.grid.n_interior))
-        out = STEPS[kind](ctx, z, 0.37)
+        out = step(kind, ctx, z, 0.37)
         assert np.all(out.values == 0.0)
 
 
@@ -91,12 +83,12 @@ def test_zero_noise_reductions():
     rng = np.random.default_rng(4)
     u = GridField(op.grid, rng.uniform(0, 1, 15))
     heat = op.apply_semigroup(0.2, u)
-    assert np.array_equal(step_lt(ctx, u, 0.9).values, heat.values)
-    assert np.array_equal(step_sexp(ctx, u, 0.9).values, heat.values)
+    assert np.array_equal(step(LT, ctx, u, 0.9).values, heat.values)
+    assert np.array_equal(step(SEXP, ctx, u, 0.9).values, heat.values)
     assert np.array_equal(
-        step_em(ctx, u, 0.9).values, u.values + 0.2 * op.apply_laplacian(u).values
+        step(EM, ctx, u, 0.9).values, u.values + 0.2 * op.apply_laplacian(u).values
     )
-    assert np.array_equal(step_sem(ctx, u, 0.9).values, op.solve_implicit(0.2, u).values)
+    assert np.array_equal(step(SEM, ctx, u, 0.9).values, op.solve_implicit(0.2, u).values)
 
 
 # -- scalar oracle (independent formulas, N=2) --------------------------------
@@ -124,13 +116,13 @@ def test_scalar_oracle_all_integrators(g_name):
         fld = GridField(op.grid, [u])
         f = f_hand(lam, u)
         hand = {
-            IntegratorKind.LT: math.exp(-8 * tau) * u * math.exp(f * db - f * f * tau / 2),
-            IntegratorKind.EM: u - 8 * tau * u + g_hand(lam, u) * db,
-            IntegratorKind.SEM: (u + g_hand(lam, u) * db) / (1 + 8 * tau),
-            IntegratorKind.SEXP: math.exp(-8 * tau) * (u + g_hand(lam, u) * db),
+            LT: math.exp(-8 * tau) * u * math.exp(f * db - f * f * tau / 2),
+            EM: u - 8 * tau * u + g_hand(lam, u) * db,
+            SEM: (u + g_hand(lam, u) * db) / (1 + 8 * tau),
+            SEXP: math.exp(-8 * tau) * (u + g_hand(lam, u) * db),
         }
         for kind, want in hand.items():
-            got = float(STEPS[kind](ctx, fld, db).values[0])
+            got = float(step(kind, ctx, fld, db).values[0])
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (kind, g_name, u, db)
 
 
@@ -153,8 +145,8 @@ def test_lt_paths_stay_nonnegative(g_name, grid_args, tau):
 def test_sexp_can_go_negative():
     # u + g(u) db < 0 for linear g once db < -1
     op, ctx = make((1, 16), "linear", 1.0, 0.1)
-    u0 = sample_initial(InitialData.sine_1d(), op.grid)
-    out = step_sexp(ctx, u0, -1.5)
+    u0 = sample_initial(sine_initial, op.grid)
+    out = step(SEXP, ctx, u0, -1.5)
     assert out.values.min() < 0.0
 
 
@@ -164,10 +156,10 @@ def test_sexp_can_go_negative():
 def test_lt_linear_exactness_against_analytic():
     # iterating LT reproduces e^{tA} e^{beta - t/2} u0 at every step count
     op, _ = make((1, 256), "linear", 1.0, 1.0)
-    u0 = sample_initial(InitialData.sine_1d(), op.grid)
+    u0 = sample_initial(sine_initial, op.grid)
     path = sample_path(0.5, 9, master_seed=3, sample_index=0)
     for level in (5, 7, 9):
-        incr = path.coarsen(level)
+        incr = coarsen_increments(path, 9, level)
         tau = 0.5 / incr.size
         ctx = StepContext(op, linear(1.0), tau)
         rec = run_path(IntegratorKind.LT, ctx, u0, incr)
@@ -179,7 +171,7 @@ def test_lt_linear_exactness_against_analytic():
 @pytest.mark.parametrize("d,N", [(1, 16), (1, 256), (2, 8)])
 def test_exact_linear_array_rows_match_exact_linear_solution_bitwise(d, N):
     op, _ = make((d, N), "linear", 1.0, 1.0)
-    u0 = sample_initial(InitialData.sine_1d() if d == 1 else InitialData.sine_product_2d(), op.grid)
+    u0 = sample_initial(sine_initial, op.grid)
     rng = np.random.default_rng(8)
     times = np.array([0.0, 0.125, 0.5, 2.0])
     betas = rng.normal(0.0, 1.0, (3, times.size))
@@ -214,11 +206,11 @@ def test_lt_linear_exactness_property(d, N, level, lam, seed):
 def test_lt_linear_step_size_independence():
     # same Brownian path, adjacent levels: final fields agree
     op, _ = make((1, 64), "linear", 2.5, 1.0)
-    u0 = sample_initial(InitialData.sine_1d(), op.grid)
+    u0 = sample_initial(sine_initial, op.grid)
     path = sample_path(0.5, 8, master_seed=11, sample_index=2)
     finals = []
     for level in (6, 7, 8):
-        incr = path.coarsen(level)
+        incr = coarsen_increments(path, 8, level)
         ctx = StepContext(op, linear(2.5), 0.5 / incr.size)
         finals.append(run_path(IntegratorKind.LT, ctx, u0, incr).final.values)
     for a, b in zip(finals, finals[1:]):
@@ -230,29 +222,30 @@ def test_lt_linear_step_size_independence():
 
 def test_run_path_single_step_equals_kernel():
     op, ctx = make((1, 16), "rational", 2.5, 0.2)
-    u0 = sample_initial(InitialData.sine_1d(), op.grid)
+    u0 = sample_initial(sine_initial, op.grid)
     rec = run_path(IntegratorKind.SEM, ctx, u0, np.array([0.3]))
     assert rec.step_count == 1
-    assert np.array_equal(rec.final.values, step_sem(ctx, u0, 0.3).values)
+    assert np.array_equal(rec.final.values, step(SEM, ctx, u0, 0.3).values)
 
 
 def test_run_path_full_trajectory_consistent_with_summary():
     op, ctx = make((1, 16), "sineplus", 2.5, 0.1)
-    u0 = sample_initial(InitialData.sine_1d(), op.grid)
+    u0 = sample_initial(sine_initial, op.grid)
     incr = np.random.default_rng(8).normal(0, 0.3, 12)
-    rec = run_path(IntegratorKind.SEXP, ctx, u0, incr, record_mode="full")
-    assert len(rec.trajectory) == 13
-    traj_min = min(float(f.values.min()) for f in rec.trajectory)
-    assert rec.running_min == traj_min
-    sups = [float(np.max(np.abs(f.values))) for f in rec.trajectory]
+    rec = run_path(SEXP, ctx, u0, incr)
+    fields = path_fields(SEXP, ctx, u0, incr)
+    assert len(fields) == 13
+    assert rec.running_min == min(float(f.min()) for f in fields)
+    sups = [float(np.max(np.abs(f))) for f in fields]
     assert np.allclose(rec.sup_norms, sups, rtol=0, atol=0)
+    assert same_bits(rec.final.values, fields[-1])
 
 
 def test_run_path_detects_divergence():
     # explicit Euler far beyond its stability limit explodes; the record
     # flags the first non-finite step and the census classification fails
     op, ctx = make((1, 256), "log1p", 2.5, 0.5)
-    u0 = sample_initial(InitialData.sine_1d(), op.grid)
+    u0 = sample_initial(sine_initial, op.grid)
     incr = np.random.default_rng(9).normal(0, math.sqrt(0.5), 80)
     rec = run_path(IntegratorKind.EM, ctx, u0, incr)
     assert rec.diverged
@@ -266,8 +259,6 @@ def test_run_path_validates_input():
     with pytest.raises(ValueError):
         run_path(IntegratorKind.LT, ctx, u0, np.array([]))
     with pytest.raises(ValueError):
-        run_path(IntegratorKind.LT, ctx, u0, np.array([0.1]), record_mode="everything")
-    with pytest.raises(ValueError):
         run_path(IntegratorKind.LT, ctx, GridField(Grid(1, 4), np.zeros(3)), np.array([0.1]))
 
 
@@ -275,14 +266,14 @@ def test_moment_sanity_small():
     # E[max_m sup_x |u|^2] bounds the per-(m,x) second moment; it stays
     # below a fixed multiple of ||u0||_0^2 = 1 across step sizes
     op, _ = make((1, 32), "rational", 1.0, 1.0)
-    u0 = sample_initial(InitialData.sine_1d(), op.grid)
+    u0 = sample_initial(sine_initial, op.grid)
     for level in (4, 6, 8):
         tau = 2.0**-level
         ctx = StepContext(op, from_name("rational", 1.0), tau)
         acc = []
         for k in range(60):
             path = sample_path(0.5, level, master_seed=21, sample_index=k)
-            rec = run_path(IntegratorKind.LT, ctx, u0, path.increments)
+            rec = run_path(IntegratorKind.LT, ctx, u0, path)
             acc.append(float(np.max(rec.sup_norms**2)))
         assert np.mean(acc) <= 5.0
 
@@ -389,30 +380,40 @@ def test_update_zero_size_batch(kind):
 
 @pytest.mark.parametrize("kind", [IntegratorKind.LT, IntegratorKind.SEXP])
 def test_run_path_full_trajectory_entries_are_distinct(kind):
+    # the fields evolve visits are never overwritten by a later step
     op, ctx = make((1, 256), "rational", 1.0, 2.0**-5)
-    u0 = sample_initial(InitialData.sine_1d(), op.grid)
+    u0 = sample_initial(sine_initial, op.grid)
     incr = np.random.default_rng(43).normal(0.0, 2.0**-2.5, 6)
-    rec = run_path(kind, ctx, u0, incr, record_mode="full")
-    values = [f.values for f in rec.trajectory]
+    values = []
+    evolve(ctx, kind, u0.values_nd(), incr, 1, lambda i, U: values.append(U))
     for i, a in enumerate(values):
         assert not any(np.shares_memory(a, b) for b in values[i + 1:])
     u = u0
     for m, db in enumerate(incr):
-        u = STEPS[kind](ctx, u, db)
+        u = step(kind, ctx, u, db)
         assert same_bits(values[m + 1], u.values)
 
 
 # -- evolve and run_path pinned against the hand-written step loop -------------
 
 
-def reference_run_path(kind, ctx, u0, increments, record_mode="summary"):
+def path_fields(kind, ctx, u0, increments):
+    """Every field of a one-path run, the start field first, as flat copies
+    captured through evolve's visitor on run_path's one-field shape."""
+    fields = []
+    evolve(ctx, kind, u0.values_nd(), np.asarray(increments, dtype=np.float64), 1,
+           lambda i, U: fields.append(U.reshape(-1).copy()))
+    return fields
+
+
+def reference_run_path(kind, ctx, u0, increments):
     """The step loop run_path had before evolve, as an oracle."""
     update = UPDATES[kind]
     U = u0.values_nd()
     running_min = float(np.min(u0.values))
     sup_norms = np.empty(increments.size + 1)
     sup_norms[0] = float(np.max(np.abs(u0.values)))
-    trajectory = [u0] if record_mode == "full" else None
+    trajectory = [u0.values]
     diverged_step = None
     clamp_events = 0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -423,8 +424,7 @@ def reference_run_path(kind, ctx, u0, increments, record_mode="summary"):
                 diverged_step = m
             running_min = float(np.minimum(running_min, np.min(U)))
             sup_norms[m + 1] = np.max(np.abs(U))
-            if trajectory is not None:
-                trajectory.append(GridField(u0.grid, U.reshape(-1)))
+            trajectory.append(U.reshape(-1).copy())
     return running_min, sup_norms, U.reshape(-1), trajectory, diverged_step, clamp_events
 
 
@@ -442,16 +442,17 @@ def oracle_increments(tau, B, M, seed=17):
 @pytest.mark.parametrize("d,N", [(1, 256), (1, 16), (2, 16)])
 def test_run_path_matches_reference_loop_bitwise(kind, d, N):
     op, ctx = make((d, N), "linear", 2.5, 2.0**-5)
-    u0 = sample_initial(InitialData.sine_1d() if d == 1 else InitialData.sine_product_2d(), op.grid)
+    u0 = sample_initial(sine_initial, op.grid)
     outcomes = []
     for incr in oracle_increments(ctx.tau, 3, 24):
-        rec = run_path(kind, ctx, u0, incr, record_mode="full")
-        rmin, sups, final, traj, div_step, clamps = reference_run_path(kind, ctx, u0, incr, "full")
+        rec = run_path(kind, ctx, u0, incr)
+        rmin, sups, final, traj, div_step, clamps = reference_run_path(kind, ctx, u0, incr)
         assert same_bits(np.float64(rec.running_min), np.float64(rmin))
         assert same_bits(rec.sup_norms, sups)
         assert same_bits(rec.final.values, final)
-        assert rec.trajectory[0] is u0 and len(rec.trajectory) == len(traj)
-        assert all(same_bits(a.values, b.values) for a, b in zip(rec.trajectory, traj))
+        fields = path_fields(kind, ctx, u0, incr)
+        assert len(fields) == len(traj)
+        assert all(same_bits(a, b) for a, b in zip(fields, traj))
         assert (rec.diverged_step, rec.clamp_events) == (div_step, clamps)
         outcomes.append((rec.diverged_step, rec.clamp_events > 0))
     em = kind is IntegratorKind.EM
@@ -531,7 +532,9 @@ def test_evolve_batch_rows_equal_run_path_bitwise(d, N, kind, g_name, level, row
     fields = []
     evolve(ctx, kind, U0.copy(), incr, 1, lambda i, U: fields.append(U.copy()))
     for b in range(rows):
-        rec = run_path(kind, ctx, GridField(op.grid, U0[b].reshape(-1)), incr[b], "full")
-        assert len(rec.trajectory) == len(fields)
-        for got, want in zip(fields, rec.trajectory):
-            assert same_bits(got[b].reshape(-1), want.values)
+        u0 = GridField(op.grid, U0[b].reshape(-1))
+        path = path_fields(kind, ctx, u0, incr[b])
+        assert len(path) == len(fields)
+        for got, want in zip(fields, path):
+            assert same_bits(got[b].reshape(-1), want)
+        assert same_bits(run_path(kind, ctx, u0, incr[b]).final.values, path[-1])

@@ -6,9 +6,9 @@ import pytest
 from spde_lab.mesh import (
     Grid,
     GridField,
-    InitialData,
     min_value,
     sample_initial,
+    sine_initial,
     sup_norm,
 )
 
@@ -42,25 +42,25 @@ def test_field_values_read_only():
 
 def test_sample_sine_1d_n4():
     # sin at x = 1/4, 1/2, 3/4
-    f = sample_initial(InitialData.sine_1d(), Grid(1, 4))
+    f = sample_initial(sine_initial, Grid(1, 4))
     expected = [math.sqrt(2) / 2, 1.0, math.sqrt(2) / 2]
     assert np.allclose(f.values, expected, rtol=0, atol=1e-15)
 
 
 def test_sample_sine_product_2d_single_point():
-    f = sample_initial(InitialData.sine_product_2d(), Grid(2, 2))
+    f = sample_initial(sine_initial, Grid(2, 2))
     assert f.values.shape == (1,)
     assert f.values[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sample_custom_zero():
-    f = sample_initial(InitialData.custom(lambda x: 0.0 * x), Grid(1, 8))
+    f = sample_initial(lambda x: 0.0 * x, Grid(1, 8))
     assert np.all(f.values == 0.0)
 
 
 def test_sample_rejects_nonvanishing_boundary():
     with pytest.raises(ValueError, match="boundary"):
-        sample_initial(InitialData.custom(lambda x: x + 1.0), Grid(1, 8))
+        sample_initial(lambda x: x + 1.0, Grid(1, 8))
 
 
 def test_sample_rejects_nonfinite_with_coordinate():
@@ -69,14 +69,14 @@ def test_sample_rejects_nonfinite_with_coordinate():
         return np.where(np.isclose(x, 0.5), np.nan, out)
 
     with pytest.raises(ValueError, match="0.5"):
-        sample_initial(InitialData.custom(bad), Grid(1, 4))
+        sample_initial(bad, Grid(1, 4))
 
 
 def test_sup_norm_examples():
     g = Grid(1, 4)
     assert sup_norm(GridField(g, [1.0, -3.0, 2.0])) == 3.0
     assert sup_norm(GridField(g, np.zeros(3))) == 0.0
-    assert sup_norm(sample_initial(InitialData.sine_1d(), g)) == 1.0
+    assert sup_norm(sample_initial(sine_initial, g)) == 1.0
 
 
 def test_sup_norm_scaling():
@@ -89,7 +89,7 @@ def test_sup_norm_scaling():
 
 def test_sampled_sine_sup_approaches_one():
     sups = [
-        sup_norm(sample_initial(InitialData.sine_1d(), Grid(1, N)))
+        sup_norm(sample_initial(sine_initial, Grid(1, N)))
         for N in (3, 5, 9, 17, 33)
     ]
     assert all(b >= a for a, b in zip(sups, sups[1:]))
