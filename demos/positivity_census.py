@@ -28,7 +28,7 @@ def run(dim: int) -> None:
           f"(tau=2^-5, {'h=2^-8' if dim == 1 else 'h=2^-4 per axis'}, 100 samples)")
     print(f"{'g(v)':<16} {'LT':>8} {'EM':>8} {'SEM':>8} {'SEXP':>8}")
     make = CensusConfig if dim == 1 else CensusConfig.default_2d
-    counts = positivity_census(*(make(g_name=g) for g in G_LABELS), jobs=2).positive_counts()
+    counts = positivity_census(make(g_names=tuple(G_LABELS)), jobs=2).positive_counts()
     for g in G_LABELS:
         row = [counts[(k, g)] for k in ("lt", "em", "sem", "sexp")]
         print(f"{G_LABELS[g]:<16}" + "".join(f" {c:>4}/100" for c in row))

@@ -9,7 +9,6 @@ from .heat_operator import HeatOperator, PositivityDiagnosticsError
 from .noise_paths import coarsen_increments, sample_path
 from .nonlinearity import (
     Nonlinearity,
-    NonlinearityKind,
     eval_f,
     eval_g,
     from_name,
@@ -50,7 +49,6 @@ __all__ = [
     "sample_path",
     "coarsen_increments",
     "Nonlinearity",
-    "NonlinearityKind",
     "linear",
     "rational",
     "sine_plus",

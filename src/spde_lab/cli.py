@@ -51,8 +51,7 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class RunSpec:
     subcommand: str
-    census_configs: list[CensusConfig] | None = None
-    convergence_config: ConvergenceConfig | None = None
+    config: CensusConfig | ConvergenceConfig | None = None
     mesh_N: list[int] | None = None
     out: str = ""
     jobs: int = 1
@@ -172,7 +171,7 @@ _KEYS = (
     _Key("samples", "Monte Carlo sample count (default {default})", "samples", int),
     _Key("integrators", f"comma list among {_INTEGRATOR_NAMES} (default {{default}})", "integrators",
          parse_integrators),
-    _Key("g", "nonlinearity tag(s), comma list or 'all' (default {default})", "g_name",
+    _Key("g", "nonlinearity tag(s), comma list or 'all' (default {default})", "g_names",
          lambda text: _parse_g(text, census=True), ("census",)),
     _Key("tau", "time step, 2^-j literal or exact dyadic decimal (default {default})", "tau",
          parse_tau, ("census",)),
@@ -192,7 +191,7 @@ MESH_STUDY_DEFAULTS = {"lambda": "1.5", "integrators": "lt", "N": "16,64,256,102
 
 def _text_defaults(cmd: str) -> dict[str, str]:
     """A subcommand's defaults that no config field holds, as text."""
-    own = {"census": {"g": "all"}, "mesh-study": MESH_STUDY_DEFAULTS}.get(cmd, {})
+    own = MESH_STUDY_DEFAULTS if cmd == "mesh-study" else {}
     return {"out": f"{cmd}.csv", **own}
 
 
@@ -266,12 +265,11 @@ def parse_args(argv=None) -> RunSpec:
     try:
         if cmd == "census":
             make = CensusConfig.default_2d if d == 2 else CensusConfig
-            g_names = overrides.pop("g_name")
-            configs = [make(g_name=g, **overrides) for g in g_names]
-            return RunSpec("census", census_configs=configs, out=out, jobs=jobs)
-        make = ConvergenceConfig.default_2d if d == 2 and cmd == "convergence" else ConvergenceConfig
-        cfg = make(**overrides)
-        return RunSpec(cmd, convergence_config=cfg, mesh_N=mesh_N, out=out, jobs=jobs)
+        elif d == 2 and cmd == "convergence":
+            make = ConvergenceConfig.default_2d
+        else:
+            make = ConvergenceConfig
+        return RunSpec(cmd, make(**overrides), mesh_N=mesh_N, out=out, jobs=jobs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -298,13 +296,11 @@ def main(argv=None) -> int:
         if spec.subcommand == "selftest":
             return _run_selftest()
         if spec.subcommand == "census":
-            report = positivity_census(*spec.census_configs, jobs=spec.jobs)
+            report = positivity_census(spec.config, jobs=spec.jobs)
         elif spec.subcommand == "convergence":
-            report = mean_square_error_study(spec.convergence_config, jobs=spec.jobs)
+            report = mean_square_error_study(spec.config, jobs=spec.jobs)
         else:
-            report = mesh_independence_study(
-                spec.convergence_config, spec.mesh_N, jobs=spec.jobs
-            )
+            report = mesh_independence_study(spec.config, spec.mesh_N, jobs=spec.jobs)
         summary = write_report(report, spec.out)
         print(summary)
         print(f"report written to {spec.out}")

@@ -35,7 +35,7 @@ from . import __version__
 from .heat_operator import HeatOperator
 from .integrators import IntegratorKind, StepContext, evolve, exact_linear_array
 from .mesh import Grid, GridField, min_value, sample_initial, sine_initial
-from .nonlinearity import Nonlinearity, NonlinearityKind, from_name
+from .nonlinearity import from_name
 from .noise_paths import (
     MAX_LEVEL,
     RNG_METHOD,
@@ -75,7 +75,10 @@ def tau_of_level(level: int) -> float:
 def path_level(T: float, level: int) -> int:
     """Dyadic resolution of a path stepped at tau = 2^-level over [0, T]:
     number of steps M = T * 2^level must be a power of two."""
-    ell = level + dyadic_exponent(T)
+    try:
+        ell = level + dyadic_exponent(T)
+    except ValueError as exc:
+        raise ValueError(f"T = {exc}") from None
     if ell < 0:
         raise ValueError(f"tau = 2^{-level} exceeds the horizon T = {T}")
     if ell > MAX_LEVEL:
@@ -100,18 +103,23 @@ def _check_shared(cfg: "CensusConfig | ConvergenceConfig") -> None:
     if cfg.samples < 1:
         raise ValueError("need at least one sample")
     check_key("seed", cfg.master_seed)
+    for kind in cfg.integrators:
+        if not isinstance(kind, IntegratorKind):
+            raise ValueError(f"integrators lists {kind!r}, which is not an IntegratorKind")
     _no_duplicates("integrators", cfg.integrators)
 
 
 @dataclass(frozen=True)
 class CensusConfig:
-    """Positivity census parameters; defaults are the 1d table settings."""
+    """Positivity census parameters; defaults are the 1d table settings.
+    One census runs every g in ``g_names`` and every integrator on one
+    Brownian path per sample."""
 
     d: int = 1
     T: float = 2.0
     tau: float = 2.0**-5
     N: int = 2**8
-    g_name: str = "linear"
+    g_names: tuple[str, ...] = CENSUS_G
     lam: float = 2.5
     samples: int = 100
     master_seed: int = 42
@@ -124,7 +132,14 @@ class CensusConfig:
         except ValueError as exc:
             raise ValueError(f"tau = {exc}") from None
         path_level(self.T, level)
-        from_name(self.g_name, self.lam)  # validates the tag
+        if isinstance(self.g_names, str):
+            raise ValueError(f"g_names takes a tuple of names, not the string {self.g_names!r}")
+        object.__setattr__(self, "g_names", tuple(self.g_names))
+        if not self.g_names:
+            raise ValueError("need at least one g")
+        _no_duplicates("g", self.g_names)
+        for g in self.g_names:
+            from_name(g, self.lam)  # validates the tag
 
     @property
     def level(self) -> int:
@@ -179,10 +194,11 @@ class ConvergenceConfig:
                 f"step levels {bad} must be coarser than the reference "
                 f"level {self.ref_level}"
             )
-        nl = from_name(self.g_name, self.lam)
-        if self.reference == "exact_linear" and nl.kind is not NonlinearityKind.LINEAR:
+        from_name(self.g_name, self.lam)  # validates the tag
+        if self.reference == "exact_linear" and self.g_name != "linear":
             raise ValueError("exact_linear reference requires the linear g")
         path_level(self.T, self.ref_level)
+        path_level(self.T, self.levels[0])
 
     @staticmethod
     def default_2d(**overrides) -> "ConvergenceConfig":
@@ -242,7 +258,8 @@ def config_text(value) -> str:
 def _echo(cfg: "CensusConfig | ConvergenceConfig") -> dict[str, str]:
     """The ``# config:`` items of a report: every config field in order, by
     its CLI key, but the seed, which has a header line of its own."""
-    return {{"g_name": "g", "lam": "lambda"}.get(f.name, f.name): config_text(getattr(cfg, f.name))
+    keys = {"g_name": "g", "g_names": "g", "lam": "lambda"}
+    return {keys.get(f.name, f.name): config_text(getattr(cfg, f.name))
             for f in fields(cfg) if f.name != "master_seed"}
 
 
@@ -380,10 +397,10 @@ def _check_memory(cfg: CensusConfig | ConvergenceConfig, jobs: int, fine_level: 
         )
 
 
-def _setup(cfg: CensusConfig | ConvergenceConfig) -> tuple[HeatOperator, Nonlinearity, GridField]:
-    """The operator, the nonlinearity and the sine initial data of a run."""
+def _setup(cfg: CensusConfig | ConvergenceConfig) -> tuple[HeatOperator, GridField]:
+    """The operator and the sine initial data of a run."""
     grid = Grid(cfg.d, cfg.N)
-    return HeatOperator(grid), from_name(cfg.g_name, cfg.lam), sample_initial(sine_initial, grid)
+    return HeatOperator(grid), sample_initial(sine_initial, grid)
 
 
 def _tile_initial(u0: GridField, count: int) -> np.ndarray:
@@ -394,41 +411,27 @@ def _tile_initial(u0: GridField, count: int) -> np.ndarray:
 # positivity census
 
 
-def positivity_census(*cfgs: CensusConfig, jobs: int = 1) -> ExperimentReport:
+def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
     """Count paths whose every field (all steps, all grid points) stays
-    nonnegative, per config (one per g) and integrator.
+    nonnegative, per g and integrator.
 
-    The configs differ in g_name alone, so the config echo holds for every
-    row. Each block draws its increments once, and every g and integrator
-    consumes them. Rows follow the configs in order; an integrator's
+    Each block draws its increments once, and every g and integrator
+    consumes them. Rows follow cfg.g_names in order; an integrator's
     divergences are summed over the g."""
-    if not cfgs:
-        raise ValueError("need at least one census config")
-    if not all(isinstance(cfg, CensusConfig) for cfg in cfgs):
-        raise TypeError("positivity_census takes CensusConfig arguments; pass jobs by keyword")
-    g_names = [cfg.g_name for cfg in cfgs]
-    _no_duplicates("g", g_names)
-    cfg = cfgs[0]
-    for other in cfgs[1:]:
-        differ = [f.name for f in fields(cfg)
-                  if f.name != "g_name" and getattr(other, f.name) != getattr(cfg, f.name)]
-        if differ:
-            raise ValueError(f"census configs differ in {', '.join(differ)}; "
-                             "the configs of one census differ in g alone")
     t_start = time.perf_counter()
     level = path_level(cfg.T, cfg.level)
     _check_memory(cfg, jobs, level)
-    op, _, u0 = _setup(cfg)
+    op, u0 = _setup(cfg)
     if min_value(u0) < 0:
         raise ValueError("positivity census requires nonnegative initial data")
-    contexts = [StepContext(op, from_name(g, cfg.lam), cfg.tau) for g in g_names]
+    contexts = [StepContext(op, from_name(g, cfg.lam), cfg.tau) for g in cfg.g_names]
     axes = tuple(range(1, 1 + cfg.d))
 
     def run_block(block: range) -> dict[tuple[str, str, IntegratorKind], int]:
         incr = sample_increment_batch(cfg.T, level, cfg.master_seed, block)
         checksums = incr.sum(axis=1)
         out = {}
-        for g, ctx in zip(g_names, contexts):
+        for g, ctx in zip(cfg.g_names, contexts):
             for kind in cfg.integrators:
                 running_min = np.full(len(block), np.inf)
                 finite = np.ones(len(block), dtype=bool)
@@ -449,7 +452,7 @@ def positivity_census(*cfgs: CensusConfig, jobs: int = 1) -> ExperimentReport:
     counts = _map_blocks(cfg.samples, jobs, run_block)
     rows = []
     diverged = {}
-    for g in g_names:
+    for g in cfg.g_names:
         for kind in cfg.integrators:
             pos, div = counts["positive", g, kind], counts["diverged", g, kind]
             rows.append((kind.value, g, cfg.lam, cfg.d, cfg.N, cfg.tau, cfg.samples, pos, div))
@@ -459,7 +462,7 @@ def positivity_census(*cfgs: CensusConfig, jobs: int = 1) -> ExperimentReport:
         kind="census",
         columns=CENSUS_COLUMNS,
         rows=rows,
-        config_echo={**_echo(cfg), "g": "+".join(sorted(g_names))},
+        config_echo={**_echo(cfg), "g": "+".join(sorted(cfg.g_names))},
         diverged=diverged,
         master_seed=cfg.master_seed,
         wall_clock=time.perf_counter() - t_start,
@@ -506,7 +509,8 @@ def _coupled_sums(
     """
     path_fine = path_level(cfg.T, fine_level)
     _check_memory(cfg, jobs, path_fine)
-    op, nl, u0 = _setup(cfg)
+    op, u0 = _setup(cfg)
+    nl = from_name(cfg.g_name, cfg.lam)
     M0 = 2 ** path_level(cfg.T, cfg.levels[0])  # checkpoint intervals
     cp_times = np.arange(M0 + 1) * (cfg.T / M0)
     contexts = {j: StepContext(op, nl, tau_of_level(j)) for j in cfg.levels}
@@ -625,6 +629,8 @@ def mesh_independence_study(
     carry its ``[N=<N>]``."""
     _no_duplicates("N", N_values)
     subs = [replace(cfg, N=int(N)) for N in N_values]
+    if not subs:
+        raise ValueError("need at least one N")
     for sub in subs:  # reject an oversized mesh before running the first
         _check_memory(sub, jobs, path_level(sub.T, sub.ref_level))
     if len(subs) == 1:

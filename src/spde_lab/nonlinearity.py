@@ -29,19 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
-
-
-class NonlinearityKind(Enum):
-    LINEAR = "linear"
-    RATIONAL = "rational"
-    SINE_PLUS = "sineplus"
-    LOG1P = "log1p"
-    ZERO = "zero"
-    CUSTOM = "custom"
 
 
 # ln(1+v) is extended below v* = -1 + EPS_DOM by its tangent line at v*,
@@ -60,9 +50,10 @@ _SINE_ABSORBED = 2.0**54
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """A diffusion coefficient g, its derivative at 0, and f = g/v."""
+    """A diffusion coefficient g, its derivative at 0, and f = g/v; the name
+    is its CLI_NAMES spelling, or "custom"."""
 
-    kind: NonlinearityKind
+    name: str
     lam: float
     g: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     f: Callable[[np.ndarray], np.ndarray] = field(compare=False)
@@ -100,7 +91,7 @@ def _ratio_with_limit(g: Callable, gprime0: float) -> Callable:
 
 def linear(lam: float) -> Nonlinearity:
     return Nonlinearity(
-        NonlinearityKind.LINEAR,
+        "linear",
         lam,
         g=lambda v: lam * v,
         f=lambda v: np.full_like(np.asarray(v, dtype=np.float64), lam),
@@ -112,7 +103,7 @@ def linear(lam: float) -> Nonlinearity:
 def rational(lam: float) -> Nonlinearity:
     # f has the closed form lam / (1 + v^2).
     return Nonlinearity(
-        NonlinearityKind.RATIONAL,
+        "rational",
         lam,
         g=lambda v: lam * v / (1.0 + v * v),
         f=lambda v: lam / (1.0 + np.asarray(v, dtype=np.float64) ** 2),
@@ -135,7 +126,7 @@ def sine_plus(lam: float) -> Nonlinearity:
         return lam * out
 
     return Nonlinearity(
-        NonlinearityKind.SINE_PLUS,
+        "sineplus",
         lam,
         g=g,
         f=_ratio_with_limit(g, 2.0 * lam),
@@ -158,7 +149,7 @@ def log1p(lam: float) -> Nonlinearity:
         return lam * np.where(above, np.log1p(branch), g_star + slope * (v - v_star))
 
     return Nonlinearity(
-        NonlinearityKind.LOG1P,
+        "log1p",
         lam,
         g=g,
         f=_ratio_with_limit(g, lam),
@@ -172,9 +163,7 @@ def zero() -> Nonlinearity:
     def zeros(v):
         return np.zeros_like(np.asarray(v, dtype=np.float64))
 
-    return Nonlinearity(
-        NonlinearityKind.ZERO, 0.0, g=zeros, f=zeros, gprime0=0.0, lipschitz_bound=0.0
-    )
+    return Nonlinearity("zero", 0.0, g=zeros, f=zeros, gprime0=0.0, lipschitz_bound=0.0)
 
 
 def custom(
@@ -185,7 +174,7 @@ def custom(
 ) -> Nonlinearity:
     """Wrap a user coefficient; g must be vectorized and satisfy g(0) = 0."""
     return Nonlinearity(
-        NonlinearityKind.CUSTOM,
+        "custom",
         lam,
         g=g,
         f=_ratio_with_limit(g, gprime0),
@@ -205,9 +194,10 @@ CLI_NAMES: dict[str, Callable[[float], Nonlinearity]] = {
 
 
 def from_name(name: str, lam: float) -> Nonlinearity:
-    """Build a catalogue entry from its CLI spelling; lam must be finite."""
+    """Build a catalogue entry from its CLI spelling, matched exactly; lam
+    must be finite."""
     try:
-        build = CLI_NAMES[name.lower()]
+        build = CLI_NAMES[name]
     except KeyError:
         raise ValueError(
             f"unknown nonlinearity {name!r}; choose from {sorted(CLI_NAMES)}"

@@ -45,15 +45,14 @@ def _report(tag: str, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def census_1d():
     # one census over the four g, as the CLI runs it; counts keyed (integrator, g)
-    cfgs = [CensusConfig(g_name=g) for g in CENSUS_G]
-    counts = positivity_census(*cfgs, jobs=JOBS).positive_counts()
+    counts = positivity_census(CensusConfig(g_names=CENSUS_G), jobs=JOBS).positive_counts()
     return {g: counts for g in CENSUS_G}
 
 
 @pytest.fixture(scope="session")
 def census_2d():
-    cfgs = [CensusConfig.default_2d(g_name=g) for g in CENSUS_G]
-    counts = positivity_census(*cfgs, jobs=JOBS).positive_counts()
+    counts = positivity_census(CensusConfig.default_2d(g_names=CENSUS_G),
+                               jobs=JOBS).positive_counts()
     return {g: counts for g in CENSUS_G}
 
 

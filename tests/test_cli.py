@@ -41,6 +41,14 @@ def test_census_tau_out_of_range_exits_1_naming_tau(tmp_path, capsys, tau, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd,T", [("census", "2.5"), ("convergence", "0.3")])
+def test_non_dyadic_T_exits_1_naming_T(tmp_path, capsys, cmd, T):
+    out = tmp_path / "x.csv"
+    assert main([cmd, "--T", T, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"spde-lab: error: T = {T} is not an exact power of two\n"
+    assert not out.exists()
+
+
 def test_parse_levels():
     assert parse_levels("4..12") == tuple(range(4, 13))
     assert parse_levels("4,6,8") == (4, 6, 8)
@@ -63,25 +71,24 @@ def test_parse_args_census_paper_row():
         "census --g rational --lambda 2.5 --tau 2^-5 --N 256 --T 2 --samples 100 --seed 42".split()
     )
     assert spec.subcommand == "census"
-    (cfg,) = spec.census_configs
+    cfg = spec.config
     assert cfg.d == 1 and cfg.N == 256 and cfg.T == 2.0
     assert cfg.tau == 2.0**-5 and cfg.lam == 2.5
     assert cfg.samples == 100 and cfg.master_seed == 42
-    assert cfg.g_name == "rational"
+    assert cfg.g_names == ("rational",)
 
 
 def test_parse_args_census_defaults_cover_all_g():
-    spec = parse_args(["census"])
-    names = [c.g_name for c in spec.census_configs]
-    assert names == ["linear", "rational", "sineplus", "log1p"]
-    for cfg in spec.census_configs:
+    for argv in (["census"], ["census", "--g", "all"]):
+        cfg = parse_args(argv).config
+        assert cfg.g_names == ("linear", "rational", "sineplus", "log1p")
         assert (cfg.T, cfg.tau, cfg.N, cfg.lam, cfg.samples) == (2.0, 2.0**-5, 256, 2.5, 100)
         assert len(cfg.integrators) == 4
 
 
 def test_parse_args_convergence_figure_config():
     spec = parse_args("convergence --g linear --levels 4..12".split())
-    cfg = spec.convergence_config
+    cfg = spec.config
     assert cfg.g_name == "linear"
     assert cfg.levels == tuple(range(4, 13))
     assert cfg.ref_level == 16 and cfg.T == 0.5 and cfg.N == 256
@@ -90,7 +97,7 @@ def test_parse_args_convergence_figure_config():
 
 def test_parse_args_2d_defaults():
     spec = parse_args("convergence --d 2".split())
-    cfg = spec.convergence_config
+    cfg = spec.config
     assert cfg.N == 16 and cfg.ref_level == 14
     assert cfg.levels == tuple(range(4, 11))
 
@@ -108,36 +115,36 @@ def test_parse_args_rejects_level_at_reference():
 def test_parse_args_mesh_study_n_list():
     spec = parse_args("mesh-study --N 16,64".split())
     assert spec.mesh_N == [16, 64]
-    assert spec.convergence_config.lam == 1.5
-    assert spec.convergence_config.integrators == (IntegratorKind.LT,)
+    assert spec.config.lam == 1.5
+    assert spec.config.integrators == (IntegratorKind.LT,)
 
 
 def test_env_seed_fallback(monkeypatch):
     monkeypatch.setenv("SPDE_LAB_SEED", "777")
     spec = parse_args(["census"])
-    assert spec.census_configs[0].master_seed == 777
+    assert spec.config.master_seed == 777
     monkeypatch.delenv("SPDE_LAB_SEED")
-    assert parse_args(["census"]).census_configs[0].master_seed == 42
+    assert parse_args(["census"]).config.master_seed == 42
 
 
 def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# one census row\ng = rational\nsamples = 7\nseed = 9\n", encoding="utf-8")
     spec = parse_args(["census", "--config", str(cfg)])
-    assert [c.g_name for c in spec.census_configs] == ["rational"]
-    assert spec.census_configs[0].samples == 7
-    assert spec.census_configs[0].master_seed == 9
+    assert spec.config.g_names == ("rational",)
+    assert spec.config.samples == 7
+    assert spec.config.master_seed == 9
     # flags override the file
     spec = parse_args(["census", "--config", str(cfg), "--samples", "3"])
-    assert spec.census_configs[0].samples == 3
+    assert spec.config.samples == 3
 
 
 def test_config_file_dashed_keys(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("ref-level = 9\nlevels = 3,4\n", encoding="utf-8")
     spec = parse_args(["convergence", "--config", str(cfg)])
-    assert spec.convergence_config.ref_level == 9
-    assert spec.convergence_config.levels == (3, 4)
+    assert spec.config.ref_level == 9
+    assert spec.config.levels == (3, 4)
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -259,8 +266,9 @@ def test_main_diverging_sem_samples_are_counted(tmp_path, d, diverged):
 
 
 LT, EM, SEM, SEXP = (IntegratorKind.LT, IntegratorKind.EM, IntegratorKind.SEM, IntegratorKind.SEXP)
-CENSUS_1D = dict(d=1, T=2.0, tau=2.0**-5, N=256, lam=2.5, samples=100, master_seed=42,
-                 integrators=(LT, EM, SEM, SEXP))
+CENSUS_1D = dict(d=1, T=2.0, tau=2.0**-5, N=256,
+                 g_names=("linear", "rational", "sineplus", "log1p"), lam=2.5, samples=100,
+                 master_seed=42, integrators=(LT, EM, SEM, SEXP))
 CONVERGENCE_1D = dict(d=1, T=0.5, N=256, g_name="rational", lam=1.0, samples=150,
                       master_seed=42, levels=tuple(range(4, 13)), ref_level=16,
                       integrators=(LT, SEM, SEXP), reference="lt")
@@ -281,19 +289,12 @@ def test_parse_args_defaults_table(monkeypatch, cmd, d, want, mesh_N):
     monkeypatch.delenv("SPDE_LAB_SEED", raising=False)
     spec = parse_args([cmd, "--d", str(d)])
     assert spec.out == f"{cmd}.csv" and spec.mesh_N == mesh_N
-    if cmd == "census":
-        assert [c.g_name for c in spec.census_configs] == ["linear", "rational", "sineplus", "log1p"]
-        for cfg in spec.census_configs:
-            assert {k: v for k, v in asdict(cfg).items() if k != "g_name"} == want
-    else:
-        assert asdict(spec.convergence_config) == want
+    assert asdict(spec.config) == want
 
 
 @pytest.mark.parametrize("cmd", ["census", "convergence", "mesh-study"])
 def test_lambda_zero_means_no_noise(cmd):
-    spec = parse_args([cmd, "--lambda", "0"])
-    cfgs = spec.census_configs or [spec.convergence_config]
-    assert all(cfg.lam == 0.0 for cfg in cfgs)
+    assert parse_args([cmd, "--lambda", "0"]).config.lam == 0.0
 
 
 @pytest.mark.parametrize("cmd,key,text,message", [
@@ -319,9 +320,9 @@ def test_config_key_of_another_subcommand_is_ignored(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("levels = 3,4\nref-level = 9\nreference = exact-linear\ntau = 2^-3\n",
                    encoding="utf-8")
-    (census,) = parse_args(["census", "--config", str(cfg), "--g", "linear"]).census_configs
+    census = parse_args(["census", "--config", str(cfg), "--g", "linear"]).config
     assert census.tau == 2.0**-3
-    mesh = parse_args(["mesh-study", "--config", str(cfg)]).convergence_config
+    mesh = parse_args(["mesh-study", "--config", str(cfg)]).config
     assert (mesh.levels, mesh.ref_level, mesh.reference) == ((3, 4), 9, "lt")
 
 

@@ -97,11 +97,40 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ConvergenceConfig(reference="analytic")
     with pytest.raises(ValueError):
-        CensusConfig(g_name="cubic")
+        CensusConfig(g_names=("cubic",))
+
+
+def test_study_config_checks_its_coarsest_level_against_the_horizon():
+    with pytest.raises(ValueError, match=re.escape("tau = 2^0 exceeds the horizon T = 0.125")):
+        ConvergenceConfig(T=0.125, levels=(0, 1, 2, 3), ref_level=6)
+    assert ConvergenceConfig(T=0.125, levels=(3, 4), ref_level=6).levels == (3, 4)
+
+
+@pytest.mark.parametrize("config", [CensusConfig, ConvergenceConfig])
+def test_integrators_must_be_integrator_kinds(config):
+    with pytest.raises(ValueError, match=re.escape("integrators lists 'lt', which is not an "
+                                                   "IntegratorKind")):
+        config(integrators=("lt",))
+    with pytest.raises(ValueError, match=re.escape("integrators lists 'sem', which is not")):
+        config(integrators=(LT, "sem"))
+
+
+def test_g_is_named_by_its_exact_catalogue_spelling():
+    with pytest.raises(ValueError, match="unknown nonlinearity 'Rational'"):
+        from_name("Rational", 1.0)
+    with pytest.raises(ValueError, match="unknown nonlinearity 'Rational'"):
+        CensusConfig(g_names=("rational", "Rational"))
+    with pytest.raises(ValueError, match="unknown nonlinearity 'LINEAR'"):
+        ConvergenceConfig(g_name="LINEAR", reference="exact_linear")
+
+
+def test_mesh_study_needs_at_least_one_mesh():
+    with pytest.raises(ValueError, match="need at least one N"):
+        mesh_independence_study(ConvergenceConfig(**SMALL_STUDY), [])
 
 
 def test_census_lt_all_positive_small():
-    cfg = CensusConfig(g_name="rational", **SMALL_CENSUS)
+    cfg = CensusConfig(g_names=("rational",), **SMALL_CENSUS)
     rep = positivity_census(cfg)
     counts = rep.positive_counts()
     assert counts[("lt", "rational")] == 10
@@ -110,7 +139,7 @@ def test_census_lt_all_positive_small():
 def test_census_zero_noise_is_deterministic():
     # g = 0: LT/SEM/SEXP reduce to positivity-preserving heat flows, all
     # paths positive; explicit Euler far beyond its stability limit is not
-    cfg = CensusConfig(g_name="zero", N=256, samples=4, master_seed=1)
+    cfg = CensusConfig(g_names=("zero",), N=256, samples=4, master_seed=1)
     rep = positivity_census(cfg)
     counts = rep.positive_counts()
     assert counts[("lt", "zero")] == 4
@@ -121,27 +150,27 @@ def test_census_zero_noise_is_deterministic():
 
 def test_census_zero_noise_stable_em_is_positive():
     # tau * N^2 = 1/2 keeps I + tau A nonnegative, so EM preserves signs
-    cfg = CensusConfig(g_name="zero", N=4, samples=3, master_seed=1)
+    cfg = CensusConfig(g_names=("zero",), N=4, samples=3, master_seed=1)
     rep = positivity_census(cfg)
     assert rep.positive_counts()[("em", "zero")] == 3
 
 
 def test_census_reproducible_and_seed_sensitive():
-    cfg = CensusConfig(g_name="rational", **SMALL_CENSUS)
+    cfg = CensusConfig(g_names=("rational",), **SMALL_CENSUS)
     a = positivity_census(cfg)
     b = positivity_census(cfg)
     assert a.rows == b.rows
-    c = positivity_census(CensusConfig(g_name="rational", N=16, samples=10, master_seed=6))
+    c = positivity_census(CensusConfig(g_names=("rational",), N=16, samples=10, master_seed=6))
     assert a.rows != c.rows or a.master_seed != c.master_seed
 
 
 def test_census_worker_count_invariance():
-    cfg = CensusConfig(g_name="sineplus", N=16, samples=120, master_seed=9)
+    cfg = CensusConfig(g_names=("sineplus",), N=16, samples=120, master_seed=9)
     assert positivity_census(cfg, jobs=1).rows == positivity_census(cfg, jobs=4).rows
 
 
 def test_census_row_schema():
-    cfg = CensusConfig(g_name="linear", **SMALL_CENSUS)
+    cfg = CensusConfig(g_names=("linear",), **SMALL_CENSUS)
     rep = positivity_census(cfg)
     assert rep.columns == CENSUS_COLUMNS
     row = rep.rows[0]
@@ -272,7 +301,7 @@ def test_moment_profiles_stable_across_levels():
 
 
 def test_write_report_census_schema(tmp_path):
-    cfg = CensusConfig(g_name="rational", **SMALL_CENSUS)
+    cfg = CensusConfig(g_names=("rational",), **SMALL_CENSUS)
     rep = positivity_census(cfg)
     out = tmp_path / "census.csv"
     summary = write_report(rep, out)
@@ -299,7 +328,7 @@ def test_write_report_convergence_schema(tmp_path):
 
 
 def test_write_report_byte_identical(tmp_path):
-    cfg = CensusConfig(g_name="linear", **SMALL_CENSUS)
+    cfg = CensusConfig(g_names=("linear",), **SMALL_CENSUS)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_report(positivity_census(cfg, jobs=1), a)
     write_report(positivity_census(cfg, jobs=2), b)
@@ -314,10 +343,10 @@ def test_write_report_byte_identical(tmp_path):
 def test_report_bytes_do_not_depend_on_jobs(tmp_path, four_cpu_machine, d, N, g, blocks, tail,
                                             seed, ref_level):
     samples = experiments.BLOCK_SAMPLES * (blocks - 1) + tail
-    shared = dict(d=d, N=N, g_name=g, samples=samples, master_seed=seed)
-    runs = ((positivity_census, CensusConfig(T=0.5, **shared)),
-            (mean_square_error_study, ConvergenceConfig(levels=(2, 3, 4), ref_level=ref_level,
-                                                        **shared)))
+    shared = dict(d=d, N=N, samples=samples, master_seed=seed)
+    runs = ((positivity_census, CensusConfig(T=0.5, g_names=(g,), **shared)),
+            (mean_square_error_study, ConvergenceConfig(g_name=g, levels=(2, 3, 4),
+                                                        ref_level=ref_level, **shared)))
     assert experiments._workers(samples, 3) == blocks  # jobs 2 and 3 fork when blocks allow
     for run, cfg in runs:
         written = []
@@ -328,7 +357,7 @@ def test_report_bytes_do_not_depend_on_jobs(tmp_path, four_cpu_machine, d, N, g,
 
 
 def test_write_report_empty_integrators(tmp_path):
-    cfg = CensusConfig(g_name="linear", integrators=(), **SMALL_CENSUS)
+    cfg = CensusConfig(g_names=("linear",), integrators=(), **SMALL_CENSUS)
     rep = positivity_census(cfg)
     out = tmp_path / "empty.csv"
     write_report(rep, out)
@@ -337,7 +366,7 @@ def test_write_report_empty_integrators(tmp_path):
 
 
 def test_write_report_io_error(tmp_path):
-    cfg = CensusConfig(g_name="linear", **SMALL_CENSUS)
+    cfg = CensusConfig(g_names=("linear",), **SMALL_CENSUS)
     rep = positivity_census(cfg)
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     with pytest.raises(OSError, match="x.csv"):
@@ -364,11 +393,10 @@ def counting(monkeypatch, name):
 def test_census_over_all_g_equals_merged_single_g_reports(monkeypatch, four_cpu_machine, jobs):
     # at lambda 3, T 4 and N 128 the comparators lose positivity or diverge on
     # some samples, so the counts, and the divergences summed over g, vary
-    cfgs = [CensusConfig(g_name=g, N=128, T=4.0, lam=3.0, samples=105, master_seed=8)
-            for g in CENSUS_G]
-    singles = [positivity_census(cfg, jobs=jobs) for cfg in cfgs]
+    cfg = CensusConfig(g_names=CENSUS_G, N=128, T=4.0, lam=3.0, samples=105, master_seed=8)
+    singles = [positivity_census(replace(cfg, g_names=(g,)), jobs=jobs) for g in CENSUS_G]
     maps, draws = counting(monkeypatch, "_map_blocks"), counting(monkeypatch, "sample_increment_batch")
-    combined = positivity_census(*cfgs, jobs=jobs)
+    combined = positivity_census(cfg, jobs=jobs)
     assert len(maps) == 1
     if jobs == 1:  # the draws of forked workers are not seen here
         assert len(draws) == 3  # one per block, shared by every g and integrator
@@ -388,37 +416,20 @@ def test_census_cli_makes_one_block_map_per_invocation(tmp_path, monkeypatch):
         out.read_text(encoding="utf-8")
 
 
-# a value for every CensusConfig field but g_name, unlike SMALL_CENSUS's
-OTHER_RUN = {"d": 2, "N": 32, "T": 1.0, "tau": 2.0**-4, "samples": 11, "master_seed": 6,
-             "lam": 2.0, "integrators": (EM, SEM)}
-
-
-def test_other_run_covers_every_census_field_but_g():
-    assert set(OTHER_RUN) == {f.name for f in fields(CensusConfig)} - {"g_name"}
-
-
-@pytest.mark.parametrize("field,value", OTHER_RUN.items())
-def test_census_rejects_configs_that_do_not_share_a_run(field, value):
-    a = CensusConfig(g_name="linear", **SMALL_CENSUS)
-    b = replace(a, g_name="rational", **{field: value})
-    with pytest.raises(ValueError, match=f"differ in {field};"):
-        positivity_census(a, b)
-
-
-def test_census_needs_configs_and_jobs_by_keyword():
-    with pytest.raises(ValueError, match="at least one"):
-        positivity_census()
-    with pytest.raises(TypeError, match="pass jobs by keyword"):
-        positivity_census(CensusConfig(**SMALL_CENSUS), 2)
+def test_census_needs_at_least_one_g():
+    with pytest.raises(ValueError, match="need at least one g"):
+        CensusConfig(g_names=(), **SMALL_CENSUS)
+    # a bare string is not split into one-letter names
+    with pytest.raises(ValueError, match="g_names takes a tuple of names, not the string 'rational'"):
+        CensusConfig(g_names="rational")
+    assert CensusConfig(g_names=["rational"]).g_names == ("rational",)
 
 
 @pytest.mark.parametrize("make,message", [
     (lambda: CensusConfig(integrators=(LT, EM, EM)), "integrators lists em more than once"),
     (lambda: ConvergenceConfig(integrators=(SEXP, LT, SEXP)), "integrators lists sexp more than once"),
     (lambda: ConvergenceConfig(levels=(2, 3, 2), ref_level=5), "levels lists 2 more than once"),
-    (lambda: positivity_census(CensusConfig(g_name="rational", **SMALL_CENSUS),
-                               CensusConfig(g_name="linear", **SMALL_CENSUS),
-                               CensusConfig(g_name="rational", **SMALL_CENSUS)),
+    (lambda: CensusConfig(g_names=("rational", "linear", "rational")),
      "g lists rational more than once"),
     (lambda: mesh_independence_study(ConvergenceConfig(**SMALL_STUDY), [8, 16, 8]),
      "N lists 8 more than once"),
@@ -445,12 +456,12 @@ def echoed_keys(report, tmp_path):
 
 
 def field_keys(cfg):
-    names = {"g_name": "g", "lam": "lambda"}
+    names = {"g_name": "g", "g_names": "g", "lam": "lambda"}
     return [names.get(f.name, f.name) for f in fields(cfg) if f.name != "master_seed"]
 
 
 def test_config_echo_lists_every_field_but_the_seed_in_order(tmp_path):
-    census = CensusConfig(g_name="linear", **SMALL_CENSUS)
+    census = CensusConfig(g_names=("linear",), **SMALL_CENSUS)
     study = ConvergenceConfig(g_name="rational", **SMALL_STUDY)
     assert echoed_keys(positivity_census(census), tmp_path) == field_keys(census)
     assert echoed_keys(mean_square_error_study(study), tmp_path) == field_keys(study)
@@ -520,7 +531,7 @@ def reference_run_checkpointed(ctx, kind, U, incr, stride):
 
 @pytest.mark.parametrize("d,N", ORACLE_SHAPES)
 def test_census_matches_reference_loop(monkeypatch, d, N):
-    cfg = CensusConfig(d=d, N=N, T=1.0, samples=4, master_seed=3)
+    cfg = CensusConfig(d=d, N=N, T=1.0, g_names=("linear",), samples=4, master_seed=3)
     # the census rejects increments whose sums change, and NaN != NaN, so
     # row 2 takes inf: it makes the comparators' fields NaN one step later
     incr = oracle_increments(cfg.samples, cfg.steps, poison=np.inf)
@@ -692,7 +703,7 @@ def census_counts(monkeypatch, cfg, incr):
 
 @pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
 def test_census_nan_increment_counts_as_diverged(monkeypatch, d, N):
-    cfg = CensusConfig(d=d, N=N, T=1.0, samples=4, master_seed=3)
+    cfg = CensusConfig(d=d, N=N, T=1.0, g_names=("linear",), samples=4, master_seed=3)
     incr = experiments.sample_increment_batch(cfg.T, path_level(cfg.T, cfg.level), 3, range(4))
     clean = census_counts(monkeypatch, cfg, incr)
     alone = census_counts(monkeypatch, replace(cfg, samples=1), incr[1:2])
@@ -714,7 +725,7 @@ def test_census_update_writing_into_increments_raises(monkeypatch):
 
     monkeypatch.setitem(UPDATES, SEM, writes_into_db)
     with pytest.raises(AssertionError, match="increment sequence was modified"):
-        positivity_census(CensusConfig(N=16, T=1.0, samples=3))
+        positivity_census(CensusConfig(N=16, T=1.0, g_names=("linear",), samples=3))
 
 
 @pytest.mark.parametrize("jobs", [1, 3])

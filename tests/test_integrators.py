@@ -26,7 +26,6 @@ from spde_lab.mesh import Grid, GridField, sample_initial, sine_initial
 from spde_lab.nonlinearity import (
     CLI_NAMES,
     Nonlinearity,
-    NonlinearityKind,
     from_name,
     linear,
     zero,
@@ -362,7 +361,7 @@ def test_update_leaves_shared_coefficient_output_alone(update, reference):
     # a user coefficient may hand back the same array on every call
     shared = frozen(np.full(63, 0.5))
     nl = Nonlinearity(
-        NonlinearityKind.CUSTOM, 0.5, g=lambda v: 0.5 * v, f=lambda v: shared,
+        "custom", 0.5, g=lambda v: 0.5 * v, f=lambda v: shared,
         gprime0=0.5, lipschitz_bound=0.5,
     )
     ctx, U, db = kernel_batch(1, 64, 4, nl)
