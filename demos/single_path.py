@@ -14,13 +14,13 @@ from spde_lab import (
     HeatOperator,
     IntegratorKind,
     StepContext,
-    exact_linear_solution,
     from_name,
     run_path,
     sample_initial,
     sample_path,
     sine_initial,
 )
+from spde_lab.integrators import exact_linear_array
 
 if __name__ == "__main__":
     grid = Grid(1, 2**6)
@@ -44,6 +44,6 @@ if __name__ == "__main__":
     ctx_lin = StepContext(op, from_name("linear", 1.0), tau)
     rec = run_path(IntegratorKind.LT, ctx_lin, u0, increments)
     beta_T = float(np.sum(increments))
-    exact = exact_linear_solution(op, u0, 1.0, beta_T, 2.0)
-    dev = float(np.max(np.abs(rec.final.values - exact.values)))
+    exact = exact_linear_array(op, u0, 1.0, beta_T, 2.0)
+    dev = float(np.max(np.abs(rec.final - exact)))
     print(f"\nlinear g: |LT - exact| after 64 coarse steps = {dev:.2e}")

@@ -4,13 +4,11 @@ comparator integrators and Monte Carlo experiment drivers."""
 
 __version__ = "0.1.0"
 
-from .mesh import Grid, GridField, min_value, sample_initial, sine_initial, sup_norm
+from .mesh import Grid, sample_initial, sine_initial
 from .heat_operator import HeatOperator, PositivityDiagnosticsError
 from .noise_paths import coarsen_increments, sample_path
 from .nonlinearity import (
     Nonlinearity,
-    eval_f,
-    eval_g,
     from_name,
     linear,
     log1p,
@@ -22,7 +20,6 @@ from .integrators import (
     IntegratorKind,
     PathRecord,
     StepContext,
-    exact_linear_solution,
     run_path,
     step,
 )
@@ -39,11 +36,8 @@ from .experiments import (
 
 __all__ = [
     "Grid",
-    "GridField",
     "sample_initial",
     "sine_initial",
-    "sup_norm",
-    "min_value",
     "HeatOperator",
     "PositivityDiagnosticsError",
     "sample_path",
@@ -55,14 +49,11 @@ __all__ = [
     "log1p",
     "zero",
     "from_name",
-    "eval_f",
-    "eval_g",
     "IntegratorKind",
     "StepContext",
     "PathRecord",
     "run_path",
     "step",
-    "exact_linear_solution",
     "CensusConfig",
     "ConvergenceConfig",
     "ExperimentReport",

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .heat_operator import HeatOperator
 from .integrators import IntegratorKind, StepContext, evolve, exact_linear_array
-from .mesh import Grid, GridField, min_value, sample_initial, sine_initial
+from .mesh import Grid, sample_initial, sine_initial
 from .nonlinearity import from_name
 from .noise_paths import (
     MAX_LEVEL,
@@ -99,6 +99,7 @@ def _no_duplicates(name: str, values: Iterable) -> None:
 
 
 def _check_shared(cfg: "CensusConfig | ConvergenceConfig") -> None:
+    Grid(cfg.d, cfg.N)  # validates d and N
     object.__setattr__(cfg, "integrators", tuple(cfg.integrators))
     if cfg.samples < 1:
         raise ValueError("need at least one sample")
@@ -318,7 +319,9 @@ def _blocks(samples: int) -> list[range]:
 def _workers(samples: int, jobs: int) -> int:
     """Processes that run blocks at once, the calling one included: ``jobs``
     capped at the block count and at the CPUs this process may use; 1
-    where processes cannot be forked."""
+    where processes cannot be forked. Raises ValueError if jobs < 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     try:
@@ -380,8 +383,8 @@ def _check_memory(cfg: CensusConfig | ConvergenceConfig, jobs: int, fine_level: 
     bound: per block of B samples, the increments (B x 2^fine_level), two
     fields (a step's input and output) and, for the studies, two checkpoint
     arrays (a run's and the one it is compared with)."""
-    B = min(cfg.samples, BLOCK_SAMPLES)
     in_flight = _workers(cfg.samples, jobs)
+    B = min(cfg.samples, BLOCK_SAMPLES)
     n = (cfg.N - 1) ** cfg.d
     held = {f"{B} x 2^{fine_level} increments": 2**fine_level,
             f"two {B} x {n} fields (step input and output)": 2 * n}
@@ -397,14 +400,14 @@ def _check_memory(cfg: CensusConfig | ConvergenceConfig, jobs: int, fine_level: 
         )
 
 
-def _setup(cfg: CensusConfig | ConvergenceConfig) -> tuple[HeatOperator, GridField]:
+def _setup(cfg: CensusConfig | ConvergenceConfig) -> tuple[HeatOperator, np.ndarray]:
     """The operator and the sine initial data of a run."""
     grid = Grid(cfg.d, cfg.N)
     return HeatOperator(grid), sample_initial(sine_initial, grid)
 
 
-def _tile_initial(u0: GridField, count: int) -> np.ndarray:
-    return np.broadcast_to(u0.values_nd(), (count,) + u0.grid.shape).copy()
+def _tile_initial(u0: np.ndarray, count: int) -> np.ndarray:
+    return np.broadcast_to(u0, (count,) + u0.shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +425,11 @@ def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
     level = path_level(cfg.T, cfg.level)
     _check_memory(cfg, jobs, level)
     op, u0 = _setup(cfg)
-    if min_value(u0) < 0:
-        raise ValueError("positivity census requires nonnegative initial data")
     contexts = [StepContext(op, from_name(g, cfg.lam), cfg.tau) for g in cfg.g_names]
     axes = tuple(range(1, 1 + cfg.d))
 
     def run_block(block: range) -> dict[tuple[str, str, IntegratorKind], int]:
         incr = sample_increment_batch(cfg.T, level, cfg.master_seed, block)
-        checksums = incr.sum(axis=1)
         out = {}
         for g, ctx in zip(cfg.g_names, contexts):
             for kind in cfg.integrators:
@@ -444,9 +444,6 @@ def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
                 positive = finite & (running_min >= 0.0)
                 out["positive", g, kind] = int(positive.sum())
                 out["diverged", g, kind] = int((~finite).sum())
-                # every g and integrator must have consumed the identical increments
-                if not np.array_equal(incr.sum(axis=1), checksums, equal_nan=True):
-                    raise AssertionError("increment sequence was modified during a census run")
         return out
 
     counts = _map_blocks(cfg.samples, jobs, run_block)

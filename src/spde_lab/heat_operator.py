@@ -16,7 +16,8 @@ provided, each exact in exact arithmetic:
 
 Both flows pair a per-tau precomputation with a batched kernel taking it:
 semigroup_multipliers with semigroup_array, implicit_factor with
-solve_implicit_array; apply_semigroup and solve_implicit wrap a pair.
+solve_implicit_array. apply_semigroup and solve_implicit apply a pair to
+one field (an array of shape grid.shape) at a one-off tau.
 
 The sine transform is applied either as an explicit orthonormal matrix
 product (small grids) or via the FFT-based DST-I, which with 'ortho'
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import Grid, GridField
+from .mesh import Grid
 
 # Above this per-axis size the FFT-based transform beats the dense matmul.
 _MATMUL_MAX_N = 128
@@ -44,11 +45,6 @@ _DENSE_CAP = 4096
 class PositivityDiagnosticsError(RuntimeError):
     """Semigroup output from a nonnegative field went negative beyond
     roundoff scale; indicates a genuine bug, not floating-point noise."""
-
-
-def _check_same_grid(grid: Grid, v: GridField) -> None:
-    if v.grid != grid:
-        raise ValueError(f"grid mismatch: operator on {grid}, field on {v.grid}")
 
 
 class HeatOperator:
@@ -177,32 +173,24 @@ class HeatOperator:
             return x.reshape(rhs.shape)
         return self.sine_transform(self.sine_transform(rhs) / factor)
 
-    # -- GridField operations ----------------------------------------------
+    # -- one field at a one-off tau -------------------------------------------
 
-    def apply_laplacian(self, v: GridField) -> GridField:
-        """N^2 D^N v."""
-        _check_same_grid(self.grid, v)
-        out = self.laplacian_array(v.values_nd())
-        return GridField(self.grid, out.reshape(-1))
-
-    def apply_semigroup(self, tau: float, v: GridField) -> GridField:
-        """exp(tau N^2 D^N) v, computed spectrally."""
-        _check_same_grid(self.grid, v)
+    def apply_semigroup(self, tau: float, v) -> np.ndarray:
+        """exp(tau N^2 D^N) v, computed spectrally; v itself at tau = 0."""
+        v = self.grid.as_field(v)
         if tau < 0:
             raise ValueError(f"tau must be >= 0, got {tau}")
         if tau == 0:
             return v
-        out = self.semigroup_array(v.values_nd(), self.semigroup_multipliers(tau))
-        return GridField(self.grid, out.reshape(-1))
+        return self.semigroup_array(v, self.semigroup_multipliers(tau))
 
-    def solve_implicit(self, tau: float, b: GridField) -> GridField:
+    def solve_implicit(self, tau: float, b) -> np.ndarray:
         """The unique x with (I - tau N^2 D^N) x = b. Always solvable:
         the eigenvalues of the system matrix are all >= 1."""
-        _check_same_grid(self.grid, b)
+        b = self.grid.as_field(b)
         if tau <= 0:
             raise ValueError(f"tau must be > 0, got {tau}")
-        x = self.solve_implicit_array(b.values_nd(), self.implicit_factor(tau))
-        return GridField(self.grid, x.reshape(-1))
+        return self.solve_implicit_array(b, self.implicit_factor(tau))
 
     # -- dense diagnostic paths ---------------------------------------------
 
@@ -235,13 +223,11 @@ class HeatOperator:
         np.copyto(E, 0.0, where=E < 0.0)
         return E
 
-    def eigenvector(self, k: int) -> GridField:
+    def eigenvector(self, k: int) -> np.ndarray:
         """Orthonormal sine mode v_k(n) = sqrt(2h) sin(k pi n h), 1d only."""
         if self.grid.d != 1:
             raise ValueError("per-axis eigenvectors are 1d; take products in 2d")
         if not 1 <= k <= self.grid.N - 1:
             raise ValueError(f"mode index must be in 1..{self.grid.N - 1}")
         x = self.grid.axis_coords()
-        return GridField(
-            self.grid, np.sqrt(2.0 * self.grid.h) * np.sin(k * np.pi * x)
-        )
+        return np.sqrt(2.0 * self.grid.h) * np.sin(k * np.pi * x)

@@ -28,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from .heat_operator import HeatOperator
-from .mesh import GridField
 from .nonlinearity import Nonlinearity
 
 # Exponent guard: |f| <= Lip(g) makes f*db - f^2 tau/2 small at sane
@@ -133,9 +132,13 @@ def evolve(ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarr
     """Step U along the last axis of incr: one field with incr (M,), or a
     batch (B, *grid) with incr (B, M). visit(0, U) sees the start field and
     visit(i, U) the field after every stride-th step i; it must not write
-    into U. Overflow and NaN are data, not warnings. Returns the summed LT
-    exponent-clamp count. UPDATES[kind] is looked up per call."""
+    into U. The updates see incr through a read-only view, so one that
+    writes into its increment raises ValueError. Overflow and NaN are data,
+    not warnings. Returns the summed LT exponent-clamp count. UPDATES[kind]
+    is looked up per call."""
     update = UPDATES[kind]
+    incr = incr.view()
+    incr.setflags(write=False)
     clamped = 0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         visit(0, U)
@@ -147,16 +150,14 @@ def evolve(ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarr
     return clamped
 
 
-# -- GridField-level step and full-path driver --------------------------------
+# -- one field: a single step and the full-path driver ------------------------
 
 
-def step(kind: IntegratorKind, ctx: StepContext, u: GridField, dbeta: float) -> GridField:
+def step(kind: IntegratorKind, ctx: StepContext, u, dbeta: float) -> np.ndarray:
     """One step of ``kind`` from the field u with the scalar increment dbeta;
     LT maps u >= 0 to u >= 0 for any tau."""
-    if u.grid != ctx.op.grid:
-        raise ValueError("field grid does not match the step context")
-    out, _ = UPDATES[kind](ctx, u.values_nd(), float(dbeta))
-    return GridField(u.grid, out.reshape(-1))
+    out, _ = UPDATES[kind](ctx, ctx.op.grid.as_field(u), float(dbeta))
+    return out
 
 
 @dataclass(eq=False)
@@ -172,7 +173,7 @@ class PathRecord:
     step_count: int
     running_min: float
     sup_norms: np.ndarray
-    final: GridField
+    final: np.ndarray
     diverged: bool = False
     diverged_step: int | None = None
     clamp_events: int = 0
@@ -184,8 +185,7 @@ class PathRecord:
         return (not self.diverged) and self.running_min >= 0.0
 
 
-def run_path(kind: IntegratorKind, ctx: StepContext, u0: GridField,
-             increments: np.ndarray) -> PathRecord:
+def run_path(kind: IntegratorKind, ctx: StepContext, u0, increments: np.ndarray) -> PathRecord:
     """Iterate one integrator over a whole increment sequence, keeping the
     running minimum, per-step sup norms and the final field. evolve's
     visitor sees every intermediate field."""
@@ -193,13 +193,12 @@ def run_path(kind: IntegratorKind, ctx: StepContext, u0: GridField,
     M = increments.size
     if M < 1:
         raise ValueError("need at least one increment")
-    if u0.grid != ctx.op.grid:
-        raise ValueError("initial field grid does not match the step context")
+    u0 = ctx.op.grid.as_field(u0)
 
     sup_norms = np.empty(M + 1)
     running_min = np.inf
     diverged_step = None
-    final = u0.values_nd()
+    final = u0
 
     def track(i: int, U: np.ndarray) -> None:
         nonlocal running_min, diverged_step, final
@@ -212,32 +211,26 @@ def run_path(kind: IntegratorKind, ctx: StepContext, u0: GridField,
 
     # one path per call, bitwise as step: as a row of a larger batch it
     # would go through gemm, not gemv, on the 1d matmul path
-    clamp_events = evolve(ctx, kind, u0.values_nd(), increments.reshape(-1), 1, track)
+    clamp_events = evolve(ctx, kind, u0, increments.reshape(-1), 1, track)
     return PathRecord(
         kind=kind,
         step_count=M,
         running_min=running_min,
         sup_norms=sup_norms,
-        final=GridField(u0.grid, final.reshape(-1)),
+        final=final,
         diverged=diverged_step is not None,
         diverged_step=diverged_step,
         clamp_events=clamp_events,
     )
 
 
-def exact_linear_array(op: HeatOperator, u0: GridField, lam: float, beta, t) -> np.ndarray:
+def exact_linear_array(op: HeatOperator, u0, lam: float, beta, t) -> np.ndarray:
     """Exact semi-discrete solution for g(v) = lam*v,
     e^{t N^2 D^N} e^{lam beta(t) - lam^2 t / 2} u0, batched: t is a time or
     an array of times, beta(t) broadcasts against t, and the result has
-    shape broadcast(beta, t).shape + grid shape."""
+    shape broadcast(beta, t).shape + grid shape (one field at a scalar t)."""
     t = np.asarray(t, dtype=np.float64)
-    heat = np.stack([op.apply_semigroup(float(s), u0).values_nd() for s in t.reshape(-1)])
+    heat = np.stack([op.apply_semigroup(float(s), u0) for s in t.reshape(-1)])
     factor = np.exp(lam * np.asarray(beta, dtype=np.float64) - 0.5 * lam**2 * t)
     return factor.reshape(factor.shape + (1,) * op.grid.d) * heat.reshape(t.shape + op.grid.shape)
 
-
-def exact_linear_solution(
-    op: HeatOperator, u0: GridField, lam: float, beta: float, t: float
-) -> GridField:
-    """exact_linear_array at one time t with beta = beta(t), as a field."""
-    return GridField(op.grid, exact_linear_array(op, u0, lam, beta, t).reshape(-1))

@@ -1,7 +1,8 @@
 """Uniform grids on (0,1)^d with homogeneous Dirichlet convention.
 
-Fields store interior values only; boundary values are identically zero and
-are never stored. Layout for d=2 is row-major with the second axis fastest.
+A field is a float64 array of shape grid.shape, (N-1,) or (N-1, N-1), that
+holds the interior values only; boundary values are identically zero and are
+never stored. A batch of B fields has shape (B, *grid.shape).
 """
 
 from __future__ import annotations
@@ -51,40 +52,13 @@ class Grid:
         """Interior coordinates along one axis: h, 2h, ..., (N-1)h."""
         return np.arange(1, self.N) * self.h
 
-
-@dataclass(frozen=True)
-class GridField:
-    """Real values on the interior points of a grid.
-
-    The values array is flat (length (N-1)^d, row-major for d=2) and is
-    made read-only on construction; treat fields as immutable values.
-    """
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if v.size != self.grid.n_interior:
-            raise ValueError(
-                f"field length {v.size} does not match grid with "
-                f"{self.grid.n_interior} interior points"
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def values_nd(self) -> np.ndarray:
-        """Values reshaped to the interior shape (view, read-only)."""
-        return self.values.reshape(self.grid.shape)
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
-    def __eq__(self, other):
-        if not isinstance(other, GridField):
-            return NotImplemented
-        return self.grid == other.grid and np.array_equal(self.values, other.values)
+    def as_field(self, u) -> np.ndarray:
+        """u as a float64 field on this grid, u itself if it is one already;
+        raises ValueError naming both shapes unless u has the grid's shape."""
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != self.shape:
+            raise ValueError(f"field of shape {u.shape} does not match the grid's shape {self.shape}")
+        return u
 
 
 def sine_initial(*coords: np.ndarray) -> np.ndarray:
@@ -117,9 +91,10 @@ def _check_boundary(u0: Callable[..., np.ndarray], grid: Grid) -> None:
             )
 
 
-def sample_initial(u0: Callable[..., np.ndarray], grid: Grid) -> GridField:
-    """Evaluate u_0 at the interior grid points. u0 takes one coordinate
-    array per axis (vectorized), as sine_initial does.
+def sample_initial(u0: Callable[..., np.ndarray], grid: Grid) -> np.ndarray:
+    """Evaluate u_0 at the interior grid points, as a read-only field of
+    shape grid.shape. u0 takes one coordinate array per axis (vectorized),
+    as sine_initial does.
 
     Raises ValueError if u_0 fails to vanish on the boundary (to 1e-12) or
     u0 returns a non-finite value, naming the offending point.
@@ -127,21 +102,11 @@ def sample_initial(u0: Callable[..., np.ndarray], grid: Grid) -> GridField:
     _check_boundary(u0, grid)
     x = grid.axis_coords()
     coords = (x,) if grid.d == 1 else np.meshgrid(x, x, indexing="ij")
-    vals = np.asarray(u0(*coords), dtype=np.float64).reshape(grid.shape)
+    vals = np.asarray(u0(*coords), dtype=np.float64).reshape(grid.shape).copy()
     if not np.isfinite(vals).all():
         flat_bad = int(np.argmax(~np.isfinite(vals).reshape(-1)))
         idx = np.unravel_index(flat_bad, grid.shape)
         coord = tuple(float((i + 1) * grid.h) for i in idx)
         raise ValueError(f"initial data is non-finite at x = {coord}")
-    return GridField(grid, vals.reshape(-1))
-
-
-def sup_norm(v: GridField) -> float:
-    """Max over interior points of |v|; 0 for the zero field."""
-    return float(np.max(np.abs(v.values)))
-
-
-def min_value(v: GridField) -> float:
-    """Minimum entry. NaN propagates, so any corrupted field fails a
-    ``min_value(v) >= 0`` positivity check."""
-    return float(np.min(v.values))
+    vals.setflags(write=False)
+    return vals

@@ -66,16 +66,6 @@ class Nonlinearity:
             raise ValueError(f"g(0) must vanish, got {g0!r}")
 
 
-def eval_g(nl: Nonlinearity, v) -> np.ndarray:
-    """g(v), vectorized."""
-    return nl.g(np.asarray(v, dtype=np.float64))
-
-
-def eval_f(nl: Nonlinearity, v) -> np.ndarray:
-    """f(v) = g(v)/v for v != 0, g'(0) at v = 0, vectorized."""
-    return nl.f(np.asarray(v, dtype=np.float64))
-
-
 def _ratio_with_limit(g: Callable, gprime0: float) -> Callable:
     def f(v):
         v = np.asarray(v, dtype=np.float64)

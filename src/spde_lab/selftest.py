@@ -17,7 +17,7 @@ import numpy as np
 from .experiments import CENSUS_G
 from .heat_operator import HeatOperator
 from .integrators import IntegratorKind, StepContext, run_path, step
-from .mesh import Grid, GridField, min_value, sup_norm
+from .mesh import Grid
 from .nonlinearity import CLI_NAMES, from_name, zero
 from .noise_paths import coarsen_increments, sample_path
 
@@ -40,12 +40,12 @@ def check_semigroup_law() -> CheckResult:
     for grid in (Grid(1, 8), Grid(1, 64), Grid(2, 6)):
         op = HeatOperator(grid)
         for _ in range(5):
-            v = GridField(grid, rng.standard_normal(grid.n_interior))
+            v = rng.standard_normal(grid.shape)
             s, t = rng.uniform(0.01, 1.0, size=2)
             a = op.apply_semigroup(s, op.apply_semigroup(t, v))
             b = op.apply_semigroup(s + t, v)
-            scale = max(sup_norm(b), 1e-300)
-            worst = max(worst, sup_norm(GridField(grid, a.values - b.values)) / scale)
+            scale = max(np.abs(b).max(), 1e-300)
+            worst = max(worst, np.abs(a - b).max() / scale)
     return _result("semigroup law e^sA e^tA = e^(s+t)A", worst, 1e-10)
 
 
@@ -55,10 +55,10 @@ def check_kernel_positivity() -> CheckResult:
     for grid in (Grid(1, 16), Grid(1, 256), Grid(2, 8)):
         op = HeatOperator(grid)
         for _ in range(10):
-            v = GridField(grid, rng.uniform(0.0, 2.0, grid.n_interior))
+            v = rng.uniform(0.0, 2.0, grid.shape)
             tau = float(rng.uniform(1e-4, 2.0))
             out = op.apply_semigroup(tau, v)
-            worst = min(worst, min_value(out))
+            worst = min(worst, out.min())
     return _result("semigroup positivity on nonnegative fields", -worst, 0.0)
 
 
@@ -68,9 +68,9 @@ def check_contraction() -> CheckResult:
     for grid in (Grid(1, 32), Grid(2, 8)):
         op = HeatOperator(grid)
         for _ in range(10):
-            v = GridField(grid, rng.standard_normal(grid.n_interior))
+            v = rng.standard_normal(grid.shape)
             tau = float(rng.uniform(1e-4, 2.0))
-            growth = sup_norm(op.apply_semigroup(tau, v)) - sup_norm(v)
+            growth = np.abs(op.apply_semigroup(tau, v)).max() - np.abs(v).max()
             worst = max(worst, growth)
     return _result("semigroup sup-norm contraction", worst, 1e-13)
 
@@ -84,9 +84,9 @@ def check_spectral_vs_dense_expm() -> CheckResult:
         op = HeatOperator(grid)
         tau = float(rng.uniform(0.01, 1.0))
         E = scipy.linalg.expm(tau * op.dense_matrix())
-        v = GridField(grid, rng.standard_normal(grid.n_interior))
-        spectral = op.apply_semigroup(tau, v).values
-        worst = max(worst, float(np.max(np.abs(spectral - E @ v.values))))
+        v = rng.standard_normal(grid.n_interior)
+        spectral = op.apply_semigroup(tau, v.reshape(grid.shape)).reshape(-1)
+        worst = max(worst, np.abs(spectral - E @ v).max())
     return _result("spectral semigroup vs dense matrix exponential (N <= 8)", worst, 1e-10)
 
 
@@ -96,11 +96,11 @@ def check_implicit_residual() -> CheckResult:
     for grid in (Grid(1, 8), Grid(1, 128), Grid(2, 8)):
         op = HeatOperator(grid)
         for _ in range(5):
-            b = GridField(grid, rng.standard_normal(grid.n_interior))
+            b = rng.standard_normal(grid.shape)
             tau = float(rng.uniform(1e-3, 1.0))
             x = op.solve_implicit(tau, b)
-            resid = x.values - tau * op.apply_laplacian(x).values - b.values
-            worst = max(worst, float(np.max(np.abs(resid))) / max(sup_norm(b), 1e-300))
+            resid = x - tau * op.laplacian_array(x) - b
+            worst = max(worst, np.abs(resid).max() / max(np.abs(b).max(), 1e-300))
     return _result("implicit solve residual", worst, 1e-12)
 
 
@@ -156,7 +156,7 @@ def check_scalar_oracle() -> CheckResult:
         us = np.concatenate([rng.uniform(0.05, 2.0, 500), rng.uniform(-0.8, -0.05, 500)])
         dbs = rng.normal(0.0, math.sqrt(tau), 1000)
         for u, db in zip(us, dbs):
-            fld = GridField(grid, [u])
+            fld = np.array([u])
             f = f_hand(lam, u)
             expect = {
                 IntegratorKind.LT: math.exp(-8 * tau) * u * math.exp(f * db - f * f * tau / 2),
@@ -165,7 +165,7 @@ def check_scalar_oracle() -> CheckResult:
                 IntegratorKind.SEXP: math.exp(-8 * tau) * (u + g_hand(lam, u) * db),
             }
             for kind, ref in expect.items():
-                dev = abs(float(step(kind, ctx, fld, db).values[0]) - ref) / max(1.0, abs(ref))
+                dev = abs(float(step(kind, ctx, fld, db)[0]) - ref) / max(1.0, abs(ref))
                 worst = max(worst, dev)
     return _result(name, worst, 1e-13)
 
@@ -195,24 +195,24 @@ def check_zero_reductions() -> CheckResult:
     for grid in (Grid(1, 16), Grid(2, 5)):
         op = HeatOperator(grid)
         ctx = StepContext(op, zero(), tau=0.125)
-        u = GridField(grid, rng.uniform(0.0, 1.0, grid.n_interior))
+        u = rng.uniform(0.0, 1.0, grid.shape)
         db = 0.7
         heat = op.apply_semigroup(0.125, u)
-        if not np.array_equal(step(IntegratorKind.LT, ctx, u, db).values, heat.values):
+        if not np.array_equal(step(IntegratorKind.LT, ctx, u, db), heat):
             return CheckResult("zero-noise reductions", False, "LT != heat flow for g = 0")
-        if not np.array_equal(step(IntegratorKind.SEXP, ctx, u, db).values, heat.values):
+        if not np.array_equal(step(IntegratorKind.SEXP, ctx, u, db), heat):
             return CheckResult("zero-noise reductions", False, "SEXP != heat flow for g = 0")
-        euler = u.values + 0.125 * op.apply_laplacian(u).values
-        if not np.array_equal(step(IntegratorKind.EM, ctx, u, db).values, euler):
+        euler = u + 0.125 * op.laplacian_array(u)
+        if not np.array_equal(step(IntegratorKind.EM, ctx, u, db), euler):
             return CheckResult("zero-noise reductions", False, "EM != explicit Euler for g = 0")
         implicit = op.solve_implicit(0.125, u)
-        if not np.array_equal(step(IntegratorKind.SEM, ctx, u, db).values, implicit.values):
+        if not np.array_equal(step(IntegratorKind.SEM, ctx, u, db), implicit):
             return CheckResult("zero-noise reductions", False, "SEM != implicit Euler for g = 0")
         # zero field is a fixed point of every integrator (g(0) = 0)
-        z = GridField(grid, np.zeros(grid.n_interior))
+        z = np.zeros(grid.shape)
         for name, ctx2 in (("zero", ctx), ("rational", StepContext(op, from_name("rational", 2.5), 0.125))):
             for kind in IntegratorKind:
-                if np.any(step(kind, ctx2, z, db).values != 0.0):
+                if np.any(step(kind, ctx2, z, db) != 0.0):
                     return CheckResult(
                         "zero-noise reductions", False, f"0 not fixed under {kind.value} ({name})"
                     )
@@ -227,7 +227,7 @@ def check_lt_positivity_paths() -> CheckResult:
         op = HeatOperator(grid)
         for name in CENSUS_G:
             ctx = StepContext(op, from_name(name, 2.5), tau)
-            u0 = GridField(grid, rng.uniform(0.0, 1.5, grid.n_interior))
+            u0 = rng.uniform(0.0, 1.5, grid.shape)
             incr = rng.normal(0.0, math.sqrt(tau), 16)
             rec = run_path(IntegratorKind.LT, ctx, u0, incr)
             worst = min(worst, rec.running_min)

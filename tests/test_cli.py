@@ -103,8 +103,16 @@ def test_parse_args_2d_defaults():
 
 
 def test_parse_args_rejects_unknown_g():
-    with pytest.raises(UsageError, match="unknown nonlinearity"):
+    # the configs name the g, with from_name's message
+    message = re.escape("unknown nonlinearity 'cubic'; choose from ['linear', ")
+    with pytest.raises(UsageError, match=message):
         parse_args("census --g cubic".split())
+    with pytest.raises(UsageError, match=message):
+        parse_args("census --g linear,cubic".split())
+    with pytest.raises(UsageError, match=message):
+        parse_args("convergence --g cubic".split())
+    with pytest.raises(UsageError, match="--g takes a single tag for convergence studies"):
+        parse_args("convergence --g linear,rational".split())
 
 
 def test_parse_args_rejects_level_at_reference():
@@ -335,13 +343,17 @@ def test_bad_config_value_is_a_usage_error(tmp_path):
 
 @pytest.mark.parametrize("argv,message", [
     (["census", "--samples", "many"], "--samples 'many' is not a valid value"),
-    (["census", "--d", "3"], "--d must be 1 or 2, got 3"),
-    (["convergence", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["census", "--d", "3"], "dimension must be 1 or 2, got 3"),
+    (["convergence", "--jobs", "0"], "jobs must be >= 1, got 0"),
     (["mesh-study", "--N", "16,x"], "--N '16,x' is not a valid value"),
 ])
-def test_bad_flag_value_is_a_usage_error(argv, message):
-    with pytest.raises(UsageError, match=re.escape(message)):
-        parse_args(argv)
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, eight_gb_machine, argv, message):
+    # parse_args rejects the others; the library rejects jobs before the run
+    # sets up its grid (which eight_gb_machine would fail)
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"spde-lab: error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

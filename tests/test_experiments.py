@@ -30,8 +30,8 @@ from spde_lab.experiments import (
     write_report,
 )
 from spde_lab.heat_operator import HeatOperator, PositivityDiagnosticsError
-from spde_lab.integrators import UPDATES, IntegratorKind, StepContext
-from spde_lab.mesh import Grid, min_value, sample_initial, sine_initial
+from spde_lab.integrators import UPDATES, IntegratorKind, StepContext, run_path
+from spde_lab.mesh import Grid, sample_initial, sine_initial
 from spde_lab.nonlinearity import from_name
 
 LT, EM, SEM, SEXP = (
@@ -122,6 +122,35 @@ def test_g_is_named_by_its_exact_catalogue_spelling():
         CensusConfig(g_names=("rational", "Rational"))
     with pytest.raises(ValueError, match="unknown nonlinearity 'LINEAR'"):
         ConvergenceConfig(g_name="LINEAR", reference="exact_linear")
+
+
+@pytest.mark.parametrize("config", [CensusConfig, ConvergenceConfig])
+@pytest.mark.parametrize("field,value,message", [
+    ("d", 3, "dimension must be 1 or 2, got 3"),
+    ("d", 0, "dimension must be 1 or 2, got 0"),
+    ("N", 1, "N must be >= 2, got 1"),
+])
+def test_config_checks_its_grid_at_construction(config, field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config(**{field: value})
+
+
+def test_mesh_study_checks_every_mesh_before_the_first_runs(eight_gb_machine):
+    with pytest.raises(ValueError, match=re.escape("N must be >= 2, got 1")):
+        mesh_independence_study(ConvergenceConfig(**SMALL_STUDY), [16, 1])
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+@pytest.mark.parametrize("run", [
+    lambda jobs: positivity_census(CensusConfig(**SMALL_CENSUS), jobs=jobs),
+    lambda jobs: mean_square_error_study(ConvergenceConfig(**SMALL_STUDY), jobs=jobs),
+    lambda jobs: moment_bound_study(ConvergenceConfig(**SMALL_STUDY), jobs=jobs),
+    lambda jobs: mesh_independence_study(ConvergenceConfig(**SMALL_STUDY), [16, 8], jobs=jobs),
+    lambda jobs: experiments._map_blocks(100, jobs, lambda block: {"n": len(block)}),
+], ids=["census", "study", "moments", "mesh-study", "map_blocks"])
+def test_jobs_below_one_is_rejected_before_any_work(eight_gb_machine, run, jobs):
+    with pytest.raises(ValueError, match=re.escape(f"jobs must be >= 1, got {jobs}")):
+        run(jobs)
 
 
 def test_mesh_study_needs_at_least_one_mesh():
@@ -495,12 +524,12 @@ def oracle_setup(d, N, tau=2.0**-5):
 def reference_census_counts(ctx, u0, incr, kinds):
     """The census block loop as it was before evolve."""
     B, M = incr.shape
-    axes = tuple(range(1, 1 + u0.grid.d))
+    axes = tuple(range(1, 1 + u0.ndim))
     out = {}
     for kind in kinds:
         update = UPDATES[kind]
-        U = np.broadcast_to(u0.values_nd(), (B,) + u0.grid.shape).copy()
-        running_min = np.full(B, min_value(u0))
+        U = np.broadcast_to(u0, (B,) + u0.shape).copy()
+        running_min = np.full(B, np.min(u0))
         finite = np.ones(B, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for m in range(M):
@@ -532,8 +561,8 @@ def reference_run_checkpointed(ctx, kind, U, incr, stride):
 @pytest.mark.parametrize("d,N", ORACLE_SHAPES)
 def test_census_matches_reference_loop(monkeypatch, d, N):
     cfg = CensusConfig(d=d, N=N, T=1.0, g_names=("linear",), samples=4, master_seed=3)
-    # the census rejects increments whose sums change, and NaN != NaN, so
-    # row 2 takes inf: it makes the comparators' fields NaN one step later
+    # row 2 takes inf: LT clamps its exponent, and it makes the comparators'
+    # fields NaN one step later
     incr = oracle_increments(cfg.samples, cfg.steps, poison=np.inf)
     monkeypatch.setattr(experiments, "sample_increment_batch",
                         lambda T, level, seed, block: incr[block.start:block.stop].copy())
@@ -550,7 +579,7 @@ def test_census_matches_reference_loop(monkeypatch, d, N):
 def test_run_checkpointed_matches_reference_loop_bitwise(kind, d, N):
     ctx, u0 = oracle_setup(d, N)
     incr = oracle_increments(4, 24)
-    U = np.broadcast_to(u0.values_nd(), (4,) + u0.grid.shape).copy()
+    U = np.broadcast_to(u0, (4,) + u0.shape).copy()
     U.setflags(write=False)
     cps, finite = _run_checkpointed(ctx, kind, U, incr, 4)
     want_cps, want_finite = reference_run_checkpointed(ctx, kind, U, incr, 4)
@@ -580,7 +609,7 @@ def reference_study_setup(cfg):
 
 
 def tile(u0, B):
-    return np.broadcast_to(u0.values_nd(), (B,) + u0.grid.shape).copy()
+    return np.broadcast_to(u0, (B,) + u0.shape).copy()
 
 
 def reference_moment_profiles(cfg):
@@ -610,9 +639,7 @@ def reference_exact_linear_errors(cfg):
     cp_times = np.arange(M0 + 1) * (cfg.T / M0)
     heat = np.empty((cp_times.size,) + op.grid.shape)
     for i, t in enumerate(cp_times):
-        heat[i] = u0.values_nd() if t == 0 else op.semigroup_array(
-            u0.values_nd(), op.semigroup_multipliers(float(t))
-        )
+        heat[i] = u0 if t == 0 else op.semigroup_array(u0, op.semigroup_multipliers(float(t)))
     sq, used = {}, {}
     for B, incr_fine in reference_blocks(cfg, fine_level):
         betas = np.cumsum(incr_fine, axis=1)
@@ -716,16 +743,39 @@ def test_census_nan_increment_counts_as_diverged(monkeypatch, d, N):
         assert got[kind.value] == (pos - pos1, div - div1 + 1), kind
 
 
-def test_census_update_writing_into_increments_raises(monkeypatch):
-    real = UPDATES[SEM]
+def writes_into_db(kind):
+    """UPDATES[kind] with a write into its increment before the step."""
+    real = UPDATES[kind]
 
-    def writes_into_db(ctx, U, db):
+    def update(ctx, U, db):
         db += 1.0
         return real(ctx, U, db)
 
-    monkeypatch.setitem(UPDATES, SEM, writes_into_db)
-    with pytest.raises(AssertionError, match="increment sequence was modified"):
+    return update
+
+
+def test_census_update_writing_into_increments_raises(monkeypatch):
+    monkeypatch.setitem(UPDATES, SEM, writes_into_db(SEM))
+    with pytest.raises(ValueError, match="read-only"):
         positivity_census(CensusConfig(N=16, T=1.0, g_names=("linear",), samples=3))
+
+
+@pytest.mark.parametrize("reference", ["lt", "exact_linear"])
+def test_study_update_writing_into_increments_raises(monkeypatch, reference):
+    # unguarded, the write would reach every later run of the block
+    monkeypatch.setitem(UPDATES, LT, writes_into_db(LT))
+    cfg = ConvergenceConfig(g_name="linear", reference=reference, integrators=(LT,), **SMALL_STUDY)
+    with pytest.raises(ValueError, match="read-only"):
+        mean_square_error_study(cfg)
+
+
+def test_run_path_update_writing_into_increments_raises(monkeypatch):
+    monkeypatch.setitem(UPDATES, LT, writes_into_db(LT))
+    ctx, u0 = oracle_setup(1, 16)
+    incr = np.full(4, 0.1)
+    with pytest.raises(ValueError, match="read-only"):
+        run_path(LT, ctx, u0, incr)
+    assert np.all(incr == 0.1)
 
 
 @pytest.mark.parametrize("jobs", [1, 3])

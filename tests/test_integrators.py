@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,14 +16,13 @@ from spde_lab.integrators import (
     _expand_increment,
     evolve,
     exact_linear_array,
-    exact_linear_solution,
     lt_update,
     run_path,
     sem_update,
     sexp_update,
     step,
 )
-from spde_lab.mesh import Grid, GridField, sample_initial, sine_initial
+from spde_lab.mesh import Grid, sample_initial, sine_initial
 from spde_lab.nonlinearity import (
     CLI_NAMES,
     Nonlinearity,
@@ -48,14 +48,14 @@ def make(grid_args, g_name, lam, tau):
 def test_em_hand_example():
     # N=2, tau=0.1, u=(1), linear lam=1, db=0.05: 1 + 0.1*(-8) + 0.05
     op, ctx = make((1, 2), "linear", 1.0, 0.1)
-    out = step(EM, ctx, GridField(op.grid, [1.0]), 0.05)
-    assert out.values[0] == pytest.approx(0.25, abs=1e-15)
+    out = step(EM, ctx, np.array([1.0]), 0.05)
+    assert out[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_sem_hand_example():
     op, ctx = make((1, 2), "linear", 1.0, 0.25)
-    out = step(SEM, ctx, GridField(op.grid, [1.0]), 0.0)
-    assert out.values[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    out = step(SEM, ctx, np.array([1.0]), 0.0)
+    assert out[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_lt_linear_one_step_closed_form():
@@ -64,30 +64,28 @@ def test_lt_linear_one_step_closed_form():
     u0 = sample_initial(sine_initial, op.grid)
     db = 0.21
     got = step(LT, ctx, u0, db)
-    want = math.exp(db - 0.125 / 2) * op.apply_semigroup(0.125, u0).values
-    assert np.allclose(got.values, want, rtol=1e-13)
+    want = math.exp(db - 0.125 / 2) * op.apply_semigroup(0.125, u0)
+    assert np.allclose(got, want, rtol=1e-13)
 
 
 @pytest.mark.parametrize("kind", list(IntegratorKind))
 def test_zero_field_is_fixed_point(kind):
     for grid_args in ((1, 16), (2, 5)):
         op, ctx = make(grid_args, "rational", 2.5, 0.3)
-        z = GridField(op.grid, np.zeros(op.grid.n_interior))
+        z = np.zeros(op.grid.shape)
         out = step(kind, ctx, z, 0.37)
-        assert np.all(out.values == 0.0)
+        assert np.all(out == 0.0)
 
 
 def test_zero_noise_reductions():
     op, ctx = make((1, 16), "zero", 0.0, 0.2)
     rng = np.random.default_rng(4)
-    u = GridField(op.grid, rng.uniform(0, 1, 15))
+    u = rng.uniform(0, 1, 15)
     heat = op.apply_semigroup(0.2, u)
-    assert np.array_equal(step(LT, ctx, u, 0.9).values, heat.values)
-    assert np.array_equal(step(SEXP, ctx, u, 0.9).values, heat.values)
-    assert np.array_equal(
-        step(EM, ctx, u, 0.9).values, u.values + 0.2 * op.apply_laplacian(u).values
-    )
-    assert np.array_equal(step(SEM, ctx, u, 0.9).values, op.solve_implicit(0.2, u).values)
+    assert np.array_equal(step(LT, ctx, u, 0.9), heat)
+    assert np.array_equal(step(SEXP, ctx, u, 0.9), heat)
+    assert np.array_equal(step(EM, ctx, u, 0.9), u + 0.2 * op.laplacian_array(u))
+    assert np.array_equal(step(SEM, ctx, u, 0.9), op.solve_implicit(0.2, u))
 
 
 # -- scalar oracle (independent formulas, N=2) --------------------------------
@@ -112,7 +110,7 @@ def test_scalar_oracle_all_integrators(g_name):
     us = np.concatenate([rng.uniform(0.05, 2.0, 500), rng.uniform(-0.8, -0.05, 500)])
     dbs = rng.normal(0.0, math.sqrt(tau), 1000)
     for u, db in zip(us, dbs):
-        fld = GridField(op.grid, [u])
+        fld = np.array([u])
         f = f_hand(lam, u)
         hand = {
             LT: math.exp(-8 * tau) * u * math.exp(f * db - f * f * tau / 2),
@@ -121,7 +119,7 @@ def test_scalar_oracle_all_integrators(g_name):
             SEXP: math.exp(-8 * tau) * (u + g_hand(lam, u) * db),
         }
         for kind, want in hand.items():
-            got = float(step(kind, ctx, fld, db).values[0])
+            got = float(step(kind, ctx, fld, db)[0])
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (kind, g_name, u, db)
 
 
@@ -134,7 +132,7 @@ def test_lt_paths_stay_nonnegative(g_name, grid_args, tau):
     # no step-size restriction: tau can exceed the mesh CFL limit freely
     op, ctx = make(grid_args, g_name, 2.5, tau)
     rng = np.random.default_rng(6)
-    u0 = GridField(op.grid, rng.uniform(0.0, 1.5, op.grid.n_interior))
+    u0 = rng.uniform(0.0, 1.5, op.grid.shape)
     incr = rng.normal(0.0, math.sqrt(tau), 32)
     rec = run_path(IntegratorKind.LT, ctx, u0, incr)
     assert rec.running_min >= 0.0
@@ -146,7 +144,7 @@ def test_sexp_can_go_negative():
     op, ctx = make((1, 16), "linear", 1.0, 0.1)
     u0 = sample_initial(sine_initial, op.grid)
     out = step(SEXP, ctx, u0, -1.5)
-    assert out.values.min() < 0.0
+    assert out.min() < 0.0
 
 
 # -- linear exactness ----------------------------------------------------------
@@ -163,8 +161,8 @@ def test_lt_linear_exactness_against_analytic():
         ctx = StepContext(op, linear(1.0), tau)
         rec = run_path(IntegratorKind.LT, ctx, u0, incr)
         beta_T = float(np.sum(incr))
-        want = exact_linear_solution(op, u0, 1.0, beta_T, 0.5)
-        assert np.allclose(rec.final.values, want.values, rtol=1e-10, atol=1e-12)
+        want = exact_linear_array(op, u0, 1.0, beta_T, 0.5)
+        assert np.allclose(rec.final, want, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("d,N", [(1, 16), (1, 256), (2, 8)])
@@ -179,8 +177,8 @@ def test_exact_linear_array_rows_match_exact_linear_solution_bitwise(d, N):
         assert got.shape == betas.shape + op.grid.shape
         for b in range(betas.shape[0]):
             for i, t in enumerate(times):
-                want = exact_linear_solution(op, u0, lam, float(betas[b, i]), float(t))
-                assert same_bits(got[b, i].reshape(-1), want.values)
+                want = exact_linear_array(op, u0, lam, float(betas[b, i]), float(t))
+                assert same_bits(got[b, i], want)
 
 
 @pytest.mark.parametrize("d,N", [(1, 16), (1, 128), (1, 256), (2, 8), (2, 16)])
@@ -195,11 +193,11 @@ def test_lt_linear_exactness_property(d, N, level, lam, seed):
     T = 0.5
     op, ctx = make((d, N), "linear", lam, 2.0**-level)
     rng = np.random.default_rng(seed)
-    u0 = GridField(op.grid, rng.uniform(0.0, 1.0, op.grid.n_interior))
+    u0 = rng.uniform(0.0, 1.0, op.grid.shape)
     incr = rng.normal(0.0, math.sqrt(ctx.tau), round(T / ctx.tau))
     rec = run_path(IntegratorKind.LT, ctx, u0, incr)
-    want = exact_linear_solution(op, u0, lam, float(np.sum(incr)), T)
-    np.testing.assert_allclose(rec.final.values, want.values, rtol=1e-10, atol=1e-12)
+    want = exact_linear_array(op, u0, lam, float(np.sum(incr)), T)
+    np.testing.assert_allclose(rec.final, want, rtol=1e-10, atol=1e-12)
 
 
 def test_lt_linear_step_size_independence():
@@ -211,7 +209,7 @@ def test_lt_linear_step_size_independence():
     for level in (6, 7, 8):
         incr = coarsen_increments(path, 8, level)
         ctx = StepContext(op, linear(2.5), 0.5 / incr.size)
-        finals.append(run_path(IntegratorKind.LT, ctx, u0, incr).final.values)
+        finals.append(run_path(IntegratorKind.LT, ctx, u0, incr).final)
     for a, b in zip(finals, finals[1:]):
         assert np.allclose(a, b, rtol=1e-10)
 
@@ -224,7 +222,7 @@ def test_run_path_single_step_equals_kernel():
     u0 = sample_initial(sine_initial, op.grid)
     rec = run_path(IntegratorKind.SEM, ctx, u0, np.array([0.3]))
     assert rec.step_count == 1
-    assert np.array_equal(rec.final.values, step(SEM, ctx, u0, 0.3).values)
+    assert np.array_equal(rec.final, step(SEM, ctx, u0, 0.3))
 
 
 def test_run_path_full_trajectory_consistent_with_summary():
@@ -237,7 +235,7 @@ def test_run_path_full_trajectory_consistent_with_summary():
     assert rec.running_min == min(float(f.min()) for f in fields)
     sups = [float(np.max(np.abs(f))) for f in fields]
     assert np.allclose(rec.sup_norms, sups, rtol=0, atol=0)
-    assert same_bits(rec.final.values, fields[-1])
+    assert same_bits(rec.final.reshape(-1), fields[-1])
 
 
 def test_run_path_detects_divergence():
@@ -254,11 +252,14 @@ def test_run_path_detects_divergence():
 
 def test_run_path_validates_input():
     op, ctx = make((1, 8), "linear", 1.0, 0.1)
-    u0 = GridField(op.grid, np.zeros(7))
+    u0 = np.zeros(7)
     with pytest.raises(ValueError):
         run_path(IntegratorKind.LT, ctx, u0, np.array([]))
-    with pytest.raises(ValueError):
-        run_path(IntegratorKind.LT, ctx, GridField(Grid(1, 4), np.zeros(3)), np.array([0.1]))
+    with pytest.raises(ValueError, match=re.escape("field of shape (3,) does not match the "
+                                                   "grid's shape (7,)")):
+        run_path(IntegratorKind.LT, ctx, np.zeros(3), np.array([0.1]))
+    with pytest.raises(ValueError, match=re.escape("field of shape (3,) does not match")):
+        step(IntegratorKind.LT, ctx, np.zeros(3), 0.1)
 
 
 def test_moment_sanity_small():
@@ -384,13 +385,13 @@ def test_run_path_full_trajectory_entries_are_distinct(kind):
     u0 = sample_initial(sine_initial, op.grid)
     incr = np.random.default_rng(43).normal(0.0, 2.0**-2.5, 6)
     values = []
-    evolve(ctx, kind, u0.values_nd(), incr, 1, lambda i, U: values.append(U))
+    evolve(ctx, kind, u0, incr, 1, lambda i, U: values.append(U))
     for i, a in enumerate(values):
         assert not any(np.shares_memory(a, b) for b in values[i + 1:])
     u = u0
     for m, db in enumerate(incr):
         u = step(kind, ctx, u, db)
-        assert same_bits(values[m + 1], u.values)
+        assert same_bits(values[m + 1], u)
 
 
 # -- evolve and run_path pinned against the hand-written step loop -------------
@@ -400,7 +401,7 @@ def path_fields(kind, ctx, u0, increments):
     """Every field of a one-path run, the start field first, as flat copies
     captured through evolve's visitor on run_path's one-field shape."""
     fields = []
-    evolve(ctx, kind, u0.values_nd(), np.asarray(increments, dtype=np.float64), 1,
+    evolve(ctx, kind, u0, np.asarray(increments, dtype=np.float64), 1,
            lambda i, U: fields.append(U.reshape(-1).copy()))
     return fields
 
@@ -408,11 +409,11 @@ def path_fields(kind, ctx, u0, increments):
 def reference_run_path(kind, ctx, u0, increments):
     """The step loop run_path had before evolve, as an oracle."""
     update = UPDATES[kind]
-    U = u0.values_nd()
-    running_min = float(np.min(u0.values))
+    U = u0
+    running_min = float(np.min(u0))
     sup_norms = np.empty(increments.size + 1)
-    sup_norms[0] = float(np.max(np.abs(u0.values)))
-    trajectory = [u0.values]
+    sup_norms[0] = float(np.max(np.abs(u0)))
+    trajectory = [u0.reshape(-1)]
     diverged_step = None
     clamp_events = 0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -448,7 +449,7 @@ def test_run_path_matches_reference_loop_bitwise(kind, d, N):
         rmin, sups, final, traj, div_step, clamps = reference_run_path(kind, ctx, u0, incr)
         assert same_bits(np.float64(rec.running_min), np.float64(rmin))
         assert same_bits(rec.sup_norms, sups)
-        assert same_bits(rec.final.values, final)
+        assert same_bits(rec.final.reshape(-1), final)
         fields = path_fields(kind, ctx, u0, incr)
         assert len(fields) == len(traj)
         assert all(same_bits(a, b) for a, b in zip(fields, traj))
@@ -507,7 +508,7 @@ def test_lt_positivity_property(d, N, g_name, level, lam, zero_share, seed):
     op, ctx = make((d, N), g_name, lam, 2.0**-level)
     rng = np.random.default_rng(seed)
     n = op.grid.n_interior
-    u0 = GridField(op.grid, rng.uniform(0.0, 2.0, n) * (rng.random(n) >= zero_share))
+    u0 = (rng.uniform(0.0, 2.0, n) * (rng.random(n) >= zero_share)).reshape(op.grid.shape)
     rec = run_path(IntegratorKind.LT, ctx, u0, rng.normal(0.0, math.sqrt(ctx.tau), 8))
     assert rec.running_min >= 0.0
     assert not rec.diverged
@@ -531,9 +532,9 @@ def test_evolve_batch_rows_equal_run_path_bitwise(d, N, kind, g_name, level, row
     fields = []
     evolve(ctx, kind, U0.copy(), incr, 1, lambda i, U: fields.append(U.copy()))
     for b in range(rows):
-        u0 = GridField(op.grid, U0[b].reshape(-1))
+        u0 = U0[b]
         path = path_fields(kind, ctx, u0, incr[b])
         assert len(path) == len(fields)
         for got, want in zip(fields, path):
             assert same_bits(got[b].reshape(-1), want)
-        assert same_bits(run_path(kind, ctx, u0, incr[b]).final.values, path[-1])
+        assert same_bits(run_path(kind, ctx, u0, incr[b]).final.reshape(-1), path[-1])

@@ -12,8 +12,6 @@ from spde_lab.nonlinearity import (
     CLI_NAMES,
     EPS_DOM,
     custom,
-    eval_f,
-    eval_g,
     from_name,
     linear,
     log1p,
@@ -28,34 +26,34 @@ ALL_NAMES = tuple(CLI_NAMES)
 def test_linear_f_constant():
     nl = linear(1.0)
     for v in (-5.0, -1e-9, 0.0, 1e-9, 3.0):
-        assert eval_f(nl, v) == pytest.approx(1.0, abs=1e-15)
+        assert nl.f(v) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_rational_values():
     nl = rational(2.5)
-    assert eval_f(nl, 2.0) == pytest.approx(0.5, rel=1e-15)
-    assert eval_g(rational(1.0), 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert nl.f(2.0) == pytest.approx(0.5, rel=1e-15)
+    assert rational(1.0).g(1.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_log1p_f_at_zero():
-    assert eval_f(log1p(2.5), 0.0) == pytest.approx(2.5, abs=1e-15)
+    assert log1p(2.5).f(0.0) == pytest.approx(2.5, abs=1e-15)
 
 
 def test_zero_nonlinearity():
     nl = zero()
     v = np.linspace(-3, 3, 11)
-    assert np.all(eval_f(nl, v) == 0.0)
-    assert np.all(eval_g(nl, v) == 0.0)
+    assert np.all(nl.f(v) == 0.0)
+    assert np.all(nl.g(v) == 0.0)
 
 
 def test_g_examples():
-    assert eval_g(linear(2.5), 1.0) == 2.5
-    assert eval_g(sine_plus(2.5), 0.0) == 0.0
+    assert linear(2.5).g(1.0) == 2.5
+    assert sine_plus(2.5).g(0.0) == 0.0
 
 
 def test_g_vanishes_at_zero_everywhere():
     for name in ALL_NAMES:
-        assert abs(float(eval_g(from_name(name, 2.5), 0.0))) <= 1e-14
+        assert abs(float(from_name(name, 2.5).g(0.0))) <= 1e-14
 
 
 def test_custom_rejects_nonvanishing_g():
@@ -71,8 +69,8 @@ def test_ratio_consistency(name):
         [np.linspace(-10, 10, 4001), np.geomspace(1e-9, 1, 100), -np.geomspace(1e-9, 0.99, 100)]
     )
     v = v[np.abs(v) >= 1e-10]
-    g = eval_g(nl, v)
-    lhs = v * eval_f(nl, v)
+    g = nl.g(v)
+    lhs = v * nl.f(v)
     mask = np.abs(g) > 0
     assert np.all(np.abs(lhs[mask] - g[mask]) <= 1e-12 * np.abs(g[mask]))
 
@@ -81,16 +79,16 @@ def test_ratio_consistency(name):
 def test_gprime0_matches_central_difference(name):
     nl = from_name(name, 2.5)
     h = 1e-6
-    fd = float(eval_g(nl, h) - eval_g(nl, -h)) / (2 * h)
+    fd = float(nl.g(h) - nl.g(-h)) / (2 * h)
     assert nl.gprime0 == pytest.approx(fd, abs=1e-6)
 
 
 def test_f_continuous_at_zero():
     for name in ALL_NAMES:
         nl = from_name(name, 2.5)
-        f0 = float(eval_f(nl, 0.0))
+        f0 = float(nl.f(0.0))
         for v in (1e-9, -1e-9):
-            assert abs(float(eval_f(nl, v)) - f0) <= 1e-8
+            assert abs(float(nl.f(v)) - f0) <= 1e-8
 
 
 def test_f_bounded_by_lipschitz_constant():
@@ -106,7 +104,7 @@ def test_f_bounded_by_lipschitz_constant():
     }
     for name, c in bounds.items():
         nl = from_name(name, 2.5)
-        fmax = float(np.max(np.abs(eval_f(nl, v))))
+        fmax = float(np.max(np.abs(nl.f(v))))
         assert fmax <= 2.5 * c * (1 + 1e-12)
         assert fmax <= nl.lipschitz_bound * (1 + 1e-12)
 
@@ -114,7 +112,7 @@ def test_f_bounded_by_lipschitz_constant():
 def test_log1p_positive_side_bound_is_one():
     nl = log1p(2.5)
     v = np.geomspace(1e-8, 10, 10001)
-    assert float(np.max(np.abs(eval_f(nl, v)))) <= 2.5 * (1 + 1e-12)
+    assert float(np.max(np.abs(nl.f(v)))) <= 2.5 * (1 + 1e-12)
 
 
 def test_log1p_extension_is_c1_and_total():
@@ -122,17 +120,17 @@ def test_log1p_extension_is_c1_and_total():
     v_star = -1.0 + EPS_DOM
     h = 1e-9
     # value continuity at the junction: both branches give ln(eps) at v*
-    assert float(eval_g(nl, v_star)) == pytest.approx(math.log(EPS_DOM), rel=1e-12)
+    assert float(nl.g(v_star)) == pytest.approx(math.log(EPS_DOM), rel=1e-12)
     # one-sided slopes match the tangent slope 1/eps
-    slope_hi = (float(eval_g(nl, v_star + h)) - float(eval_g(nl, v_star))) / h
-    slope_lo = (float(eval_g(nl, v_star)) - float(eval_g(nl, v_star - h))) / h
+    slope_hi = (float(nl.g(v_star + h)) - float(nl.g(v_star))) / h
+    slope_lo = (float(nl.g(v_star)) - float(nl.g(v_star - h))) / h
     assert slope_hi == pytest.approx(1.0 / EPS_DOM, rel=1e-2)
     assert slope_lo == pytest.approx(1.0 / EPS_DOM, rel=1e-2)
     # total and finite well below -1
-    deep = eval_g(nl, np.array([-1.0, -2.0, -50.0]))
+    deep = nl.g(np.array([-1.0, -2.0, -50.0]))
     assert np.all(np.isfinite(deep))
     # agrees with ln(1+v) on the untouched branch
-    assert float(eval_g(nl, -0.5)) == pytest.approx(math.log(0.5), rel=1e-14)
+    assert float(nl.g(-0.5)) == pytest.approx(math.log(0.5), rel=1e-14)
 
 
 def test_from_name_rejects_unknown():
@@ -144,7 +142,7 @@ def test_nan_propagates():
     # the zero map is excluded: g = 0 sends every input to 0 by definition
     for name in CENSUS_G:
         nl = from_name(name, 2.5)
-        assert math.isnan(float(eval_g(nl, float("nan"))))
+        assert math.isnan(float(nl.g(float("nan"))))
 
 
 # -- every g and f is bitwise its textbook formula ----------------------------
@@ -248,15 +246,15 @@ def test_g_and_f_are_textbook_bits_on_edges(label, new, old):
 
 def test_sine_skip_starts_at_2_to_54():
     assert 2.0**53 < SINE_TIE < 2.0**54
-    assert eval_g(sine_plus(1.0), SINE_TIE) == SINE_TIE + 2.0
-    assert eval_g(sine_plus(1.0), -SINE_TIE) == -SINE_TIE - 2.0  # sin is odd
-    assert eval_g(sine_plus(1.0), 2.0**54) == 2.0**54
+    assert sine_plus(1.0).g(SINE_TIE) == SINE_TIE + 2.0
+    assert sine_plus(1.0).g(-SINE_TIE) == -SINE_TIE - 2.0  # sin is odd
+    assert sine_plus(1.0).g(2.0**54) == 2.0**54
 
 
 def test_custom_g_returning_its_input_is_not_written():
     nl = identity_nl()
     v = np.array([3.0, 0.0, -2.0, 1e-13])
-    f = eval_f(nl, v)
+    f = nl.f(v)
     assert v.tolist() == [3.0, 0.0, -2.0, 1e-13]
     assert f.tolist() == [1.0, 1.0, 1.0, 1.0]
 
