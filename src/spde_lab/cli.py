@@ -211,9 +211,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--" + row.key.replace("_", "-"), dest=row.key, choices=row.choices,
                            help=row.help.format(default=defaults.get(row.key)))
 
-    p_self = sub.add_parser("selftest", help="run the fast invariant suite (exit 2 on failure)")
-    p_self.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-
+    sub.add_parser("selftest", help="run the fast invariant suite (exit 2 on failure)")
     return parser
 
 

@@ -146,10 +146,6 @@ class CensusConfig:
     def level(self) -> int:
         return -dyadic_exponent(self.tau)
 
-    @property
-    def steps(self) -> int:
-        return 2 ** path_level(self.T, self.level)
-
     @staticmethod
     def default_2d(**overrides) -> "CensusConfig":
         """2d table settings: h = 2^-4 per axis, everything else shared."""
@@ -222,7 +218,6 @@ class ExperimentReport:
     slopes: dict[str, float] = field(default_factory=dict)
     diverged: dict[str, int] = field(default_factory=dict)
     master_seed: int = 0
-    rng_method: str = RNG_METHOD
     wall_clock: float = 0.0
 
     def positive_counts(self) -> dict[tuple[str, str], int]:
@@ -270,7 +265,7 @@ def write_report(report: ExperimentReport, path) -> str:
     lines = [f"# spde-lab {__version__}"]
     lines.append(f"# kind: {report.kind}")
     lines.append(f"# seed: {report.master_seed}")
-    lines.append(f"# rng: {report.rng_method}")
+    lines.append(f"# rng: {RNG_METHOD}")
     echo = " ".join(f"{k}={_fmt(v)}" for k, v in report.config_echo.items())
     lines.append(f"# config: {echo}")
     for name, count in sorted(report.diverged.items()):

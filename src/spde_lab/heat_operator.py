@@ -178,8 +178,8 @@ class HeatOperator:
     def apply_semigroup(self, tau: float, v) -> np.ndarray:
         """exp(tau N^2 D^N) v, computed spectrally; v itself at tau = 0."""
         v = self.grid.as_field(v)
-        if tau < 0:
-            raise ValueError(f"tau must be >= 0, got {tau}")
+        if not 0 <= tau < np.inf:  # NaN fails too
+            raise ValueError(f"tau must be finite and >= 0, got {tau}")
         if tau == 0:
             return v
         return self.semigroup_array(v, self.semigroup_multipliers(tau))
@@ -188,8 +188,8 @@ class HeatOperator:
         """The unique x with (I - tau N^2 D^N) x = b. Always solvable:
         the eigenvalues of the system matrix are all >= 1."""
         b = self.grid.as_field(b)
-        if tau <= 0:
-            raise ValueError(f"tau must be > 0, got {tau}")
+        if not 0 < tau < np.inf:
+            raise ValueError(f"tau must be finite and > 0, got {tau}")
         return self.solve_implicit_array(b, self.implicit_factor(tau))
 
     # -- dense diagnostic paths ---------------------------------------------

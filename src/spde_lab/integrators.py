@@ -53,8 +53,8 @@ class StepContext:
     """
 
     def __init__(self, op: HeatOperator, nl: Nonlinearity, tau: float):
-        if tau <= 0:
-            raise ValueError(f"tau must be > 0, got {tau}")
+        if not 0 < tau < np.inf:  # NaN fails too
+            raise ValueError(f"tau must be finite and > 0, got {tau}")
         self.op = op
         self.nl = nl
         self.tau = tau
@@ -188,9 +188,12 @@ class PathRecord:
 def run_path(kind: IntegratorKind, ctx: StepContext, u0, increments: np.ndarray) -> PathRecord:
     """Iterate one integrator over a whole increment sequence, keeping the
     running minimum, per-step sup norms and the final field. evolve's
-    visitor sees every intermediate field."""
+    visitor sees every intermediate field. increments holds one path:
+    shape (M,), or (1, M) as a one-row batch."""
     increments = np.asarray(increments, dtype=np.float64)
     M = increments.size
+    if increments.ndim > 1 and M != increments.shape[-1]:
+        raise ValueError(f"run_path steps one path of increments, got shape {increments.shape}")
     if M < 1:
         raise ValueError("need at least one increment")
     u0 = ctx.op.grid.as_field(u0)

@@ -21,10 +21,17 @@ def coarsen_increments(increments: np.ndarray, from_level: int, to_level: int) -
     """Sum blocks of 2^(from_level-to_level) sibling increments.
 
     Works on a single path (shape (2^L,)) or a batch (samples on the
-    leading axis); the per-block reduction is identical either way.
+    leading axis); the per-block reduction is identical either way. The
+    last axis must hold the 2^from_level increments of a path.
     """
+    if to_level < 0:
+        raise ValueError(f"cannot coarsen level {from_level} to negative level {to_level}")
     if to_level > from_level:
         raise ValueError(f"cannot coarsen level {from_level} to finer level {to_level}")
+    if increments.shape[-1:] != (2**from_level,):
+        raise ValueError(f"cannot coarsen level {from_level} to level {to_level}: a path of "
+                         f"level {from_level} has 2^{from_level} increments, got shape "
+                         f"{increments.shape}")
     if to_level == from_level:
         return increments
     m = 2**to_level

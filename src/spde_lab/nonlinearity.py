@@ -50,15 +50,13 @@ _SINE_ABSORBED = 2.0**54
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """A diffusion coefficient g, its derivative at 0, and f = g/v; the name
-    is its CLI_NAMES spelling, or "custom"."""
+    """A diffusion coefficient g and f = g/v, with f(0) = g'(0); the name is
+    its CLI_NAMES spelling, or "custom". Name and lam are its equality key."""
 
     name: str
     lam: float
     g: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     f: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    gprime0: float = 0.0
-    lipschitz_bound: float = 0.0
 
     def __post_init__(self):
         g0 = float(self.g(np.float64(0.0)))
@@ -85,8 +83,6 @@ def linear(lam: float) -> Nonlinearity:
         lam,
         g=lambda v: lam * v,
         f=lambda v: np.full_like(np.asarray(v, dtype=np.float64), lam),
-        gprime0=lam,
-        lipschitz_bound=abs(lam),
     )
 
 
@@ -97,8 +93,6 @@ def rational(lam: float) -> Nonlinearity:
         lam,
         g=lambda v: lam * v / (1.0 + v * v),
         f=lambda v: lam / (1.0 + np.asarray(v, dtype=np.float64) ** 2),
-        gprime0=lam,
-        lipschitz_bound=abs(lam),
     )
 
 
@@ -115,14 +109,7 @@ def sine_plus(lam: float) -> Nonlinearity:
         np.put(out, live, np.sin(x) + x)
         return lam * out
 
-    return Nonlinearity(
-        "sineplus",
-        lam,
-        g=g,
-        f=_ratio_with_limit(g, 2.0 * lam),
-        gprime0=2.0 * lam,
-        lipschitz_bound=2.0 * abs(lam),
-    )
+    return Nonlinearity("sineplus", lam, g=g, f=_ratio_with_limit(g, 2.0 * lam))
 
 
 def log1p(lam: float) -> Nonlinearity:
@@ -138,39 +125,20 @@ def log1p(lam: float) -> Nonlinearity:
         branch = np.where(above, v, 0.0)  # keep log1p off invalid inputs
         return lam * np.where(above, np.log1p(branch), g_star + slope * (v - v_star))
 
-    return Nonlinearity(
-        "log1p",
-        lam,
-        g=g,
-        f=_ratio_with_limit(g, lam),
-        gprime0=lam,
-        # sup |g'| on the extended domain is attained at v*.
-        lipschitz_bound=abs(lam) / EPS_DOM,
-    )
+    return Nonlinearity("log1p", lam, g=g, f=_ratio_with_limit(g, lam))
 
 
 def zero() -> Nonlinearity:
     def zeros(v):
         return np.zeros_like(np.asarray(v, dtype=np.float64))
 
-    return Nonlinearity("zero", 0.0, g=zeros, f=zeros, gprime0=0.0, lipschitz_bound=0.0)
+    return Nonlinearity("zero", 0.0, g=zeros, f=zeros)
 
 
-def custom(
-    g: Callable,
-    gprime0: float,
-    lipschitz_bound: float,
-    lam: float = 1.0,
-) -> Nonlinearity:
-    """Wrap a user coefficient; g must be vectorized and satisfy g(0) = 0."""
-    return Nonlinearity(
-        "custom",
-        lam,
-        g=g,
-        f=_ratio_with_limit(g, gprime0),
-        gprime0=gprime0,
-        lipschitz_bound=lipschitz_bound,
-    )
+def custom(g: Callable, gprime0: float, lam: float = 1.0) -> Nonlinearity:
+    """Wrap a user coefficient; g must be vectorized and satisfy g(0) = 0,
+    and gprime0 = g'(0) is f's value near 0."""
+    return Nonlinearity("custom", lam, g=g, f=_ratio_with_limit(g, gprime0))
 
 
 #: CLI spellings of the catalogue, each with its builder taking lam.

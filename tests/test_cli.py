@@ -241,6 +241,11 @@ def test_main_selftest_exits_0():
     assert main(["selftest"]) == 0
 
 
+def test_selftest_takes_no_flags(capsys):
+    assert main(["selftest", "--jobs", "2"]) == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 def test_selftest_fails_for_a_census_g_without_a_scalar_oracle(monkeypatch):
     from spde_lab import selftest
 

@@ -563,7 +563,7 @@ def test_census_matches_reference_loop(monkeypatch, d, N):
     cfg = CensusConfig(d=d, N=N, T=1.0, g_names=("linear",), samples=4, master_seed=3)
     # row 2 takes inf: LT clamps its exponent, and it makes the comparators'
     # fields NaN one step later
-    incr = oracle_increments(cfg.samples, cfg.steps, poison=np.inf)
+    incr = oracle_increments(cfg.samples, 2 ** path_level(cfg.T, cfg.level), poison=np.inf)
     monkeypatch.setattr(experiments, "sample_increment_batch",
                         lambda T, level, seed, block: incr[block.start:block.stop].copy())
     report = positivity_census(cfg, jobs=1)

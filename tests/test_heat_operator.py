@@ -143,6 +143,15 @@ def test_semigroup_negative_tau_rejected():
         op.apply_semigroup(-0.1, np.zeros(7))
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_flows_reject_a_non_finite_tau(tau):
+    op = HeatOperator(Grid(1, 8))
+    with pytest.raises(ValueError, match=re.escape(f"tau must be finite and >= 0, got {tau}")):
+        op.apply_semigroup(tau, np.ones(7))
+    with pytest.raises(ValueError, match=re.escape(f"tau must be finite and > 0, got {tau}")):
+        op.solve_implicit(tau, np.ones(7))
+
+
 def test_semigroup_eigenvector_decay():
     op = HeatOperator(Grid(1, 8))
     tau = 0.37

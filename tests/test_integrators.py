@@ -250,6 +250,23 @@ def test_run_path_detects_divergence():
     assert not rec.positive
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_step_context_rejects_a_non_finite_tau(tau):
+    with pytest.raises(ValueError, match=re.escape(f"tau must be finite and > 0, got {tau}")):
+        make((1, 8), "linear", 1.0, tau)
+
+
+def test_run_path_takes_one_path_of_increments():
+    op, ctx = make((1, 8), "linear", 1.0, 0.1)
+    u0 = np.ones(7)
+    with pytest.raises(ValueError, match=re.escape("one path of increments, got shape (2, 3)")):
+        run_path(IntegratorKind.LT, ctx, u0, np.ones((2, 3)))
+    row = np.array([[0.1, -0.2, 0.3]])  # a one-row batch is one path
+    rec = run_path(IntegratorKind.LT, ctx, u0, row)
+    assert rec.step_count == 3
+    assert same_bits(rec.final, run_path(IntegratorKind.LT, ctx, u0, row[0]).final)
+
+
 def test_run_path_validates_input():
     op, ctx = make((1, 8), "linear", 1.0, 0.1)
     u0 = np.zeros(7)
@@ -361,10 +378,7 @@ def test_lt_update_exponent_clamp_count_matches_reference(d, N):
 def test_update_leaves_shared_coefficient_output_alone(update, reference):
     # a user coefficient may hand back the same array on every call
     shared = frozen(np.full(63, 0.5))
-    nl = Nonlinearity(
-        "custom", 0.5, g=lambda v: 0.5 * v, f=lambda v: shared,
-        gprime0=0.5, lipschitz_bound=0.5,
-    )
+    nl = Nonlinearity("custom", 0.5, g=lambda v: 0.5 * v, f=lambda v: shared)
     ctx, U, db = kernel_batch(1, 64, 4, nl)
     check_kernel(update, reference, ctx, U, db)
     assert np.all(shared == 0.5)

@@ -66,6 +66,18 @@ def test_coarsen_rejects_finer_level():
         coarsen_increments(p, 4, 5)
 
 
+def test_coarsen_rejects_a_negative_level_and_a_path_of_another_level():
+    p = sample_path(1.0, 5, 0, 0)
+    with pytest.raises(ValueError, match="cannot coarsen level 5 to negative level -1"):
+        coarsen_increments(p, 5, -1)
+    message = re.escape("cannot coarsen level 6 to level 3: a path of level 6 has 2^6 "
+                        "increments, got shape (32,)")
+    with pytest.raises(ValueError, match=message):
+        coarsen_increments(p, 6, 3)
+    with pytest.raises(ValueError, match=re.escape("got shape (4, 32)")):
+        coarsen_increments(np.ones((4, 32)), 4, 4)
+
+
 def test_total_sum_telescopes():
     p = sample_path(1.0, 14, 11, 4)
     total = np.cumsum(p)[-1]
