@@ -5,7 +5,7 @@ comparator integrators and Monte Carlo experiment drivers."""
 __version__ = "0.1.0"
 
 from .mesh import Grid, sample_initial, sine_initial
-from .heat_operator import HeatOperator, PositivityDiagnosticsError
+from .heat_operator import HeatFlow, HeatOperator, PositivityDiagnosticsError
 from .noise_paths import coarsen_increments, sample_path
 from .nonlinearity import (
     Nonlinearity,
@@ -39,6 +39,7 @@ __all__ = [
     "sample_initial",
     "sine_initial",
     "HeatOperator",
+    "HeatFlow",
     "PositivityDiagnosticsError",
     "sample_path",
     "coarsen_increments",

@@ -228,11 +228,17 @@ def parse_args(argv=None) -> RunSpec:
             raise UsageError(f"config file: unknown key {key!r}")
     rows = {row.key: row for row in _KEYS if cmd in row.commands}
     # what the user set, as text: a flag, else a config-file key; a key
-    # this subcommand has no flag for (levels in a census file) is ignored
+    # this subcommand has no flag for (levels in a census file) is ignored.
+    # source names where a value that is not a flag came from
     given = {key: text for key, text in cfg_file.items() if key in rows}
-    given.update((key, getattr(args, key)) for key in rows if getattr(args, key) is not None)
+    source = {key: f"{args.config}: {key} =" for key in given}
+    for key in rows:
+        if getattr(args, key) is not None:
+            given[key] = getattr(args, key)
+            source.pop(key, None)
     if "seed" not in given and ENV_SEED in os.environ:
         given["seed"] = os.environ[ENV_SEED]
+        source["seed"] = "$" + ENV_SEED
     given = {**_text_defaults(cmd), **given}
 
     overrides = {}  # by config field, and out and jobs
@@ -241,8 +247,8 @@ def parse_args(argv=None) -> RunSpec:
             try:
                 overrides[row.field or key] = row.convert(given[key])
             except ValueError:
-                flag = "--" + key.replace("_", "-")
-                raise UsageError(f"{flag} {given[key]!r} is not a valid value") from None
+                where = source.get(key, "--" + key.replace("_", "-"))
+                raise UsageError(f"{where} {given[key]!r} is not a valid value") from None
     jobs, out = overrides.pop("jobs", os.cpu_count() or 1), overrides.pop("out")
     mesh_N = overrides["N"] if cmd == "mesh-study" else None
     if mesh_N:

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .heat_operator import HeatOperator
 from .integrators import IntegratorKind, StepContext, evolve, exact_linear_array
-from .mesh import Grid, sample_initial, sine_initial
+from .mesh import Grid, check_int, sample_initial, sine_initial
 from .nonlinearity import from_name
 from .noise_paths import (
     MAX_LEVEL,
@@ -101,8 +101,10 @@ def _no_duplicates(name: str, values: Iterable) -> None:
 def _check_shared(cfg: "CensusConfig | ConvergenceConfig") -> None:
     Grid(cfg.d, cfg.N)  # validates d and N
     object.__setattr__(cfg, "integrators", tuple(cfg.integrators))
+    check_int("samples", cfg.samples)
     if cfg.samples < 1:
         raise ValueError("need at least one sample")
+    check_int("seed", cfg.master_seed)
     check_key("seed", cfg.master_seed)
     for kind in cfg.integrators:
         if not isinstance(kind, IntegratorKind):
@@ -178,6 +180,9 @@ class ConvergenceConfig:
 
     def __post_init__(self):
         _check_shared(self)
+        for j in self.levels:
+            check_int("levels", j)
+        check_int("ref_level", self.ref_level)
         object.__setattr__(self, "levels", tuple(sorted(self.levels)))
         _no_duplicates("levels", self.levels)
         if not self.levels:

@@ -6,31 +6,30 @@ operator is the Kronecker sum A (+) A of the per-axis 1d operator A.
 
 The eigensystem is closed form: the orthonormal discrete sine basis
 v_k(n) = sqrt(2h) sin(k pi n h) diagonalizes A with eigenvalues
-mu_k = -4 N^2 sin^2(k pi / (2N)), all strictly negative. Three actions are
-provided, each exact in exact arithmetic:
+mu_k = -4 N^2 sin^2(k pi / (2N)), all strictly negative. HeatOperator
+applies N^2 D^N by its stencil; HeatFlow(op, tau) holds the two exact
+flows at one step size, for one field or a batch:
 
-* matrix-vector product (stencil),
-* heat semigroup e^{tau N^2 D^N} (spectral multipliers exp(tau mu_k)),
-* implicit solve (I - tau N^2 D^N) x = b (banded Cholesky in 1d,
-  spectral divisors in 2d).
+* heat: the semigroup e^{tau N^2 D^N} (spectral multipliers exp(tau mu_k)),
+* solve: (I - tau N^2 D^N)^{-1} (banded Cholesky in 1d, spectral divisors
+  in 2d),
 
-Both flows pair a per-tau precomputation with a batched kernel taking it:
-semigroup_multipliers with semigroup_array, implicit_factor with
-solve_implicit_array. apply_semigroup and solve_implicit apply a pair to
-one field (an array of shape grid.shape) at a one-off tau.
+each one call of the batched kernel semigroup_array or solve_implicit_array
+with per-tau data that the flow builds on first use.
 
 The sine transform is applied either as an explicit orthonormal matrix
 product (small grids) or via the FFT-based DST-I, which with 'ortho'
 normalization is exactly that matrix and is its own inverse.
 
 scipy is imported only by the calls that use it: scipy.fft when an
-operator on the DST path is built, scipy.linalg by implicit_factor and
-solve_implicit_array in 1d and by dense_semigroup. A StepContext calls
-implicit_factor at its first SEM step, so a 1d run without SEM, like
-every 2d run, never loads scipy.linalg.
+operator on the DST path is built, scipy.linalg by a 1d flow's first
+solve and by dense_semigroup. So a 1d run without SEM, like every 2d run,
+never loads scipy.linalg.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -58,10 +57,7 @@ class HeatOperator:
         self.eigenvalues.setflags(write=False)
         if n <= _MATMUL_MAX_N:
             # Orthonormal sine matrix, symmetric and involutory.
-            x = k * grid.h
-            self._sine_matrix = np.sqrt(2.0 * grid.h) * np.sin(
-                np.pi * np.outer(k, x)
-            )
+            self._sine_matrix = np.sqrt(2.0 * grid.h) * np.sin(np.pi * np.outer(k, k * grid.h))
             self._sine_matrix.setflags(write=False)
         else:
             import scipy.fft
@@ -86,32 +82,6 @@ class HeatOperator:
         if self.grid.d == 1:
             return self._dst(arr, type=1, norm="ortho", axis=-1, overwrite_x=overwrite)
         return self._dst(arr, type=1, norm="ortho", axes=(-2, -1), overwrite_x=overwrite)
-
-    # -- spectral multipliers ---------------------------------------------
-
-    def semigroup_multipliers(self, tau: float) -> np.ndarray:
-        """exp(tau mu) on the interior shape (outer product in 2d)."""
-        m = np.exp(tau * self.eigenvalues)
-        if self.grid.d == 2:
-            m = np.outer(m, m)
-        return m
-
-    def implicit_factor(self, tau: float) -> np.ndarray:
-        """I - tau N^2 D^N factored once for solve_implicit_array: the
-        banded Cholesky factor in 1d, the spectral divisors (eigenvalues,
-        all >= 1) in 2d."""
-        if self.grid.d == 2:
-            return 1.0 - tau * (
-                self.eigenvalues[:, None] + self.eigenvalues[None, :]
-            )
-        import scipy.linalg
-
-        n = self.grid.n_interior_per_axis
-        c = tau * self.grid.N**2
-        ab = np.zeros((2, n))
-        ab[1, :] = 1.0 + 2.0 * c
-        ab[0, 1:] = -c
-        return scipy.linalg.cholesky_banded(ab)
 
     # -- array-level kernels (batched over leading axes) -------------------
 
@@ -163,8 +133,8 @@ class HeatOperator:
 
     def solve_implicit_array(self, rhs: np.ndarray, factor: np.ndarray) -> np.ndarray:
         """(I - tau N^2 D^N)^{-1} rhs along the trailing grid axes, with
-        factor = implicit_factor(tau). Each slice is solved on its own, so
-        a non-finite slice leaves the others' bits alone."""
+        factor = HeatFlow(self, tau).implicit_factor. Each slice is solved
+        on its own, so a non-finite slice leaves the others' bits alone."""
         if self.grid.d == 1:
             import scipy.linalg
 
@@ -172,25 +142,6 @@ class HeatOperator:
             x = scipy.linalg.cho_solve_banded((factor, False), flat.T, check_finite=False).T
             return x.reshape(rhs.shape)
         return self.sine_transform(self.sine_transform(rhs) / factor)
-
-    # -- one field at a one-off tau -------------------------------------------
-
-    def apply_semigroup(self, tau: float, v) -> np.ndarray:
-        """exp(tau N^2 D^N) v, computed spectrally; v itself at tau = 0."""
-        v = self.grid.as_field(v)
-        if not 0 <= tau < np.inf:  # NaN fails too
-            raise ValueError(f"tau must be finite and >= 0, got {tau}")
-        if tau == 0:
-            return v
-        return self.semigroup_array(v, self.semigroup_multipliers(tau))
-
-    def solve_implicit(self, tau: float, b) -> np.ndarray:
-        """The unique x with (I - tau N^2 D^N) x = b. Always solvable:
-        the eigenvalues of the system matrix are all >= 1."""
-        b = self.grid.as_field(b)
-        if not 0 < tau < np.inf:
-            raise ValueError(f"tau must be finite and > 0, got {tau}")
-        return self.solve_implicit_array(b, self.implicit_factor(tau))
 
     # -- dense diagnostic paths ---------------------------------------------
 
@@ -231,3 +182,54 @@ class HeatOperator:
             raise ValueError(f"mode index must be in 1..{self.grid.N - 1}")
         x = self.grid.axis_coords()
         return np.sqrt(2.0 * self.grid.h) * np.sin(k * np.pi * x)
+
+
+class HeatFlow:
+    """heat(arr) = e^{tau N^2 D^N} arr and solve(arr) = (I - tau N^2 D^N)^{-1}
+    arr at one step size tau, on a field or a batch (B, *grid.shape)."""
+
+    def __init__(self, op: HeatOperator, tau: float):
+        if not 0 < tau < np.inf:  # NaN fails too
+            raise ValueError(f"tau must be finite and > 0, got {tau}")
+        self.op = op
+        self.tau = tau
+
+    @cached_property
+    def semigroup_mult(self) -> np.ndarray:
+        """exp(tau mu) on the interior shape (outer product in 2d)."""
+        m = np.exp(self.tau * self.op.eigenvalues)
+        if self.op.grid.d == 2:
+            m = np.outer(m, m)
+        return m
+
+    @cached_property
+    def implicit_factor(self) -> np.ndarray:
+        """The banded Cholesky factor in 1d; the spectral divisors, all >= 1,
+        in 2d."""
+        grid, tau = self.op.grid, self.tau
+        if grid.d == 2:
+            mu = self.op.eigenvalues
+            return 1.0 - tau * (mu[:, None] + mu[None, :])
+        import scipy.linalg
+
+        c = tau * grid.N**2
+        ab = np.zeros((2, grid.n_interior_per_axis))
+        ab[1, :] = 1.0 + 2.0 * c
+        ab[0, 1:] = -c
+        return scipy.linalg.cholesky_banded(ab)
+
+    def _on_grid(self, arr) -> np.ndarray:
+        arr = np.asarray(arr, dtype=np.float64)
+        shape = self.op.grid.shape
+        if arr.shape[arr.ndim - len(shape):] != shape:
+            raise ValueError(f"array of shape {arr.shape} does not end in the grid's shape {shape}")
+        return arr
+
+    def heat(self, arr) -> np.ndarray:
+        """e^{tau N^2 D^N} arr, clamped as semigroup_array clamps."""
+        return self.op.semigroup_array(self._on_grid(arr), self.semigroup_mult)
+
+    def solve(self, arr) -> np.ndarray:
+        """The unique x with (I - tau N^2 D^N) x = arr. Always solvable:
+        the eigenvalues of the system matrix are all >= 1."""
+        return self.op.solve_implicit_array(self._on_grid(arr), self.implicit_factor)

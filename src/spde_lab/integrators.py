@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .heat_operator import HeatOperator
+from .heat_operator import HeatFlow, HeatOperator
 from .nonlinearity import Nonlinearity
 
 # Exponent guard: |f| <= Lip(g) makes f*db - f^2 tau/2 small at sane
@@ -42,30 +41,13 @@ class IntegratorKind(Enum):
     SEXP = "sexp"
 
 
-class StepContext:
-    """Immutable per-(operator, nonlinearity, tau) data, reused across steps.
-
-    Holds the two per-tau precomputations of the operator: the semigroup
-    spectral multipliers (LT, SEXP) and the implicit factor (SEM), which
-    the steps hand to op.semigroup_array and op.solve_implicit_array. Each
-    is built on the first step that reads it, so in 1d scipy.linalg is
-    imported by the first SEM step and not at all by runs without SEM.
-    """
+class StepContext(HeatFlow):
+    """The heat flow at tau plus the nonlinearity: everything a step reads.
+    In 1d scipy.linalg is imported by the first SEM step, if any."""
 
     def __init__(self, op: HeatOperator, nl: Nonlinearity, tau: float):
-        if not 0 < tau < np.inf:  # NaN fails too
-            raise ValueError(f"tau must be finite and > 0, got {tau}")
-        self.op = op
+        super().__init__(op, tau)
         self.nl = nl
-        self.tau = tau
-
-    @cached_property
-    def semigroup_mult(self) -> np.ndarray:
-        return self.op.semigroup_multipliers(self.tau)
-
-    @cached_property
-    def implicit_factor(self) -> np.ndarray:
-        return self.op.implicit_factor(self.tau)
 
 
 def _expand_increment(dbeta, d: int):
@@ -99,7 +81,7 @@ def lt_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
         np.minimum(arg, EXP_ARG_MAX, out=arg)
     np.exp(arg, out=arg)
     arg *= U
-    return ctx.op.semigroup_array(arg, ctx.semigroup_mult), clamped
+    return ctx.heat(arg), clamped
 
 
 def em_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
@@ -109,14 +91,14 @@ def em_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
 
 def sem_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
     db = _expand_increment(dbeta, ctx.op.grid.d)
-    return ctx.op.solve_implicit_array(U + ctx.nl.g(U) * db, ctx.implicit_factor), 0
+    return ctx.solve(U + ctx.nl.g(U) * db), 0
 
 
 def sexp_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
     db = _expand_increment(dbeta, ctx.op.grid.d)
     V = ctx.nl.g(U) * db
     V += U
-    return ctx.op.semigroup_array(V, ctx.semigroup_mult), 0
+    return ctx.heat(V), 0
 
 
 UPDATES = {
@@ -233,7 +215,8 @@ def exact_linear_array(op: HeatOperator, u0, lam: float, beta, t) -> np.ndarray:
     an array of times, beta(t) broadcasts against t, and the result has
     shape broadcast(beta, t).shape + grid shape (one field at a scalar t)."""
     t = np.asarray(t, dtype=np.float64)
-    heat = np.stack([op.apply_semigroup(float(s), u0) for s in t.reshape(-1)])
+    u0 = op.grid.as_field(u0)
+    heat = np.stack([u0 if s == 0 else HeatFlow(op, float(s)).heat(u0) for s in t.reshape(-1)])
     factor = np.exp(lam * np.asarray(beta, dtype=np.float64) - 0.5 * lam**2 * t)
     return factor.reshape(factor.shape + (1,) * op.grid.d) * heat.reshape(t.shape + op.grid.shape)
 

@@ -14,6 +14,13 @@ from typing import Callable
 import numpy as np
 
 
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int or a numpy integer: a float,
+    even 64.0, and a bool are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} takes integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on (0,1)^d, d in {1,2}, with N subdivisions per axis.
@@ -26,6 +33,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
+        check_int("d", self.d)
+        check_int("N", self.N)
         if self.d not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.d}")
         if self.N < 2:

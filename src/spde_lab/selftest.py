@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiments import CENSUS_G
-from .heat_operator import HeatOperator
+from .heat_operator import HeatFlow, HeatOperator
 from .integrators import IntegratorKind, StepContext, run_path, step
 from .mesh import Grid
 from .nonlinearity import CLI_NAMES, from_name, zero
@@ -42,8 +42,8 @@ def check_semigroup_law() -> CheckResult:
         for _ in range(5):
             v = rng.standard_normal(grid.shape)
             s, t = rng.uniform(0.01, 1.0, size=2)
-            a = op.apply_semigroup(s, op.apply_semigroup(t, v))
-            b = op.apply_semigroup(s + t, v)
+            a = HeatFlow(op, s).heat(HeatFlow(op, t).heat(v))
+            b = HeatFlow(op, s + t).heat(v)
             scale = max(np.abs(b).max(), 1e-300)
             worst = max(worst, np.abs(a - b).max() / scale)
     return _result("semigroup law e^sA e^tA = e^(s+t)A", worst, 1e-10)
@@ -57,7 +57,7 @@ def check_kernel_positivity() -> CheckResult:
         for _ in range(10):
             v = rng.uniform(0.0, 2.0, grid.shape)
             tau = float(rng.uniform(1e-4, 2.0))
-            out = op.apply_semigroup(tau, v)
+            out = HeatFlow(op, tau).heat(v)
             worst = min(worst, out.min())
     return _result("semigroup positivity on nonnegative fields", -worst, 0.0)
 
@@ -70,7 +70,7 @@ def check_contraction() -> CheckResult:
         for _ in range(10):
             v = rng.standard_normal(grid.shape)
             tau = float(rng.uniform(1e-4, 2.0))
-            growth = np.abs(op.apply_semigroup(tau, v)).max() - np.abs(v).max()
+            growth = np.abs(HeatFlow(op, tau).heat(v)).max() - np.abs(v).max()
             worst = max(worst, growth)
     return _result("semigroup sup-norm contraction", worst, 1e-13)
 
@@ -85,7 +85,7 @@ def check_spectral_vs_dense_expm() -> CheckResult:
         tau = float(rng.uniform(0.01, 1.0))
         E = scipy.linalg.expm(tau * op.dense_matrix())
         v = rng.standard_normal(grid.n_interior)
-        spectral = op.apply_semigroup(tau, v.reshape(grid.shape)).reshape(-1)
+        spectral = HeatFlow(op, tau).heat(v.reshape(grid.shape)).reshape(-1)
         worst = max(worst, np.abs(spectral - E @ v).max())
     return _result("spectral semigroup vs dense matrix exponential (N <= 8)", worst, 1e-10)
 
@@ -98,7 +98,7 @@ def check_implicit_residual() -> CheckResult:
         for _ in range(5):
             b = rng.standard_normal(grid.shape)
             tau = float(rng.uniform(1e-3, 1.0))
-            x = op.solve_implicit(tau, b)
+            x = HeatFlow(op, tau).solve(b)
             resid = x - tau * op.laplacian_array(x) - b
             worst = max(worst, np.abs(resid).max() / max(np.abs(b).max(), 1e-300))
     return _result("implicit solve residual", worst, 1e-12)
@@ -197,7 +197,7 @@ def check_zero_reductions() -> CheckResult:
         ctx = StepContext(op, zero(), tau=0.125)
         u = rng.uniform(0.0, 1.0, grid.shape)
         db = 0.7
-        heat = op.apply_semigroup(0.125, u)
+        heat = HeatFlow(op, 0.125).heat(u)
         if not np.array_equal(step(IntegratorKind.LT, ctx, u, db), heat):
             return CheckResult("zero-noise reductions", False, "LT != heat flow for g = 0")
         if not np.array_equal(step(IntegratorKind.SEXP, ctx, u, db), heat):
@@ -205,7 +205,7 @@ def check_zero_reductions() -> CheckResult:
         euler = u + 0.125 * op.laplacian_array(u)
         if not np.array_equal(step(IntegratorKind.EM, ctx, u, db), euler):
             return CheckResult("zero-noise reductions", False, "EM != explicit Euler for g = 0")
-        implicit = op.solve_implicit(0.125, u)
+        implicit = HeatFlow(op, 0.125).solve(u)
         if not np.array_equal(step(IntegratorKind.SEM, ctx, u, db), implicit):
             return CheckResult("zero-noise reductions", False, "SEM != implicit Euler for g = 0")
         # zero field is a fixed point of every integrator (g(0) = 0)

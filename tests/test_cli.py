@@ -340,10 +340,34 @@ def test_config_key_of_another_subcommand_is_ignored(tmp_path):
 
 
 def test_bad_config_value_is_a_usage_error(tmp_path):
+    # the message names the file and its key, not a flag nobody gave
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("samples = many\n", encoding="utf-8")
-    with pytest.raises(UsageError, match="--samples 'many' is not a valid value"):
+    cfg.write_text("samples = many\nref-level = ten\n", encoding="utf-8")
+    with pytest.raises(UsageError) as exc:
         parse_args(["census", "--config", str(cfg)])
+    assert str(exc.value) == f"{cfg}: samples = 'many' is not a valid value"
+    with pytest.raises(UsageError) as exc:
+        parse_args(["convergence", "--config", str(cfg), "--samples", "3"])
+    assert str(exc.value) == f"{cfg}: ref_level = 'ten' is not a valid value"
+    # a flag overrides the file, and a bad flag keeps its own name
+    with pytest.raises(UsageError) as exc:
+        parse_args(["census", "--config", str(cfg), "--samples", "lots"])
+    assert str(exc.value) == "--samples 'lots' is not a valid value"
+
+
+def test_bad_environment_seed_names_the_variable(monkeypatch, tmp_path):
+    monkeypatch.setenv("SPDE_LAB_SEED", "abc")
+    with pytest.raises(UsageError) as exc:
+        parse_args(["census"])
+    assert str(exc.value) == "$SPDE_LAB_SEED 'abc' is not a valid value"
+    # a flag or a config-file seed wins over the variable, which is not read
+    assert parse_args(["census", "--seed", "7"]).config.master_seed == 7
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 8\n", encoding="utf-8")
+    assert parse_args(["census", "--config", str(cfg)]).config.master_seed == 8
+    with pytest.raises(UsageError) as exc:
+        parse_args(["census", "--seed", "x1"])
+    assert str(exc.value) == "--seed 'x1' is not a valid value"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -29,7 +29,7 @@ from spde_lab.experiments import (
     positivity_census,
     write_report,
 )
-from spde_lab.heat_operator import HeatOperator, PositivityDiagnosticsError
+from spde_lab.heat_operator import HeatFlow, HeatOperator, PositivityDiagnosticsError
 from spde_lab.integrators import UPDATES, IntegratorKind, StepContext, run_path
 from spde_lab.mesh import Grid, sample_initial, sine_initial
 from spde_lab.nonlinearity import from_name
@@ -133,6 +133,33 @@ def test_g_is_named_by_its_exact_catalogue_spelling():
 def test_config_checks_its_grid_at_construction(config, field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         config(**{field: value})
+
+
+@pytest.mark.parametrize("config,field,value,message", [
+    (CensusConfig, "d", 1.0, "d takes integers, got 1.0"),
+    (CensusConfig, "N", 64.0, "N takes integers, got 64.0"),
+    (CensusConfig, "samples", 2.5, "samples takes integers, got 2.5"),
+    (CensusConfig, "samples", True, "samples takes integers, got True"),
+    (CensusConfig, "master_seed", 42.0, "seed takes integers, got 42.0"),
+    (ConvergenceConfig, "N", True, "N takes integers, got True"),
+    (ConvergenceConfig, "samples", 150.0, "samples takes integers, got 150.0"),
+    (ConvergenceConfig, "levels", (2.0, 3), "levels takes integers, got 2.0"),
+    (ConvergenceConfig, "levels", (3, False), "levels takes integers, got False"),
+    (ConvergenceConfig, "ref_level", 6.0, "ref_level takes integers, got 6.0"),
+])
+def test_config_rejects_a_float_or_bool_count(config, field, value, message):
+    # each used to construct, then fail mid-run inside numpy or write the
+    # float or bool into the report ("samples=True" ran one sample)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config(**{field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = ConvergenceConfig(N=np.int64(16), samples=np.int32(3), levels=(np.int64(3), 4),
+                            ref_level=np.int16(8))
+    assert cfg.levels == (3, 4) and cfg.ref_level == 8
+    assert CensusConfig(d=np.int64(2), N=np.int64(8), samples=np.uint8(3),
+                        master_seed=np.uint64(2**64 - 1)).samples == 3
 
 
 def test_mesh_study_checks_every_mesh_before_the_first_runs(eight_gb_machine):
@@ -639,7 +666,7 @@ def reference_exact_linear_errors(cfg):
     cp_times = np.arange(M0 + 1) * (cfg.T / M0)
     heat = np.empty((cp_times.size,) + op.grid.shape)
     for i, t in enumerate(cp_times):
-        heat[i] = u0 if t == 0 else op.semigroup_array(u0, op.semigroup_multipliers(float(t)))
+        heat[i] = u0 if t == 0 else HeatFlow(op, float(t)).heat(u0)
     sq, used = {}, {}
     for B, incr_fine in reference_blocks(cfg, fine_level):
         betas = np.cumsum(incr_fine, axis=1)

@@ -6,7 +6,8 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from spde_lab.heat_operator import HeatOperator, PositivityDiagnosticsError
+from spde_lab.heat_operator import HeatFlow, HeatOperator, PositivityDiagnosticsError
+from spde_lab.integrators import exact_linear_array
 from spde_lab.mesh import Grid
 
 
@@ -40,13 +41,17 @@ def test_laplacian_hand_stencil_n4():
 
 def test_operator_rejects_a_field_of_another_grid():
     op = HeatOperator(Grid(1, 4))
+    flow = HeatFlow(op, 0.1)
+    for shape in ((7,), (2, 7), ()):
+        message = re.escape(f"array of shape {shape} does not end in the grid's shape (3,)")
+        with pytest.raises(ValueError, match=message):
+            flow.heat(np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            flow.solve(np.zeros(shape))
+    # the exact solution at t = 0 is u0 itself, checked as one field
     message = re.escape("field of shape (7,) does not match the grid's shape (3,)")
     with pytest.raises(ValueError, match=message):
-        op.apply_semigroup(0.1, np.zeros(7))
-    with pytest.raises(ValueError, match=message):
-        op.apply_semigroup(0.0, np.zeros(7))
-    with pytest.raises(ValueError, match=message):
-        op.solve_implicit(0.1, np.zeros(7))
+        exact_linear_array(op, np.zeros(7), 1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 6), Grid(2, 5)])
@@ -118,46 +123,39 @@ def test_dense_semigroup_matches_spectral():
         tau = 0.173
         E = op.dense_semigroup(tau)
         v = rand_field(grid, rng)
-        got = op.apply_semigroup(tau, v).reshape(-1)
+        got = HeatFlow(op, tau).heat(v).reshape(-1)
         assert np.allclose(E @ v.reshape(-1), got, atol=1e-10)
 
 
-# -- apply_semigroup ---------------------------------------------------------
+# -- HeatFlow.heat ----------------------------------------------------------
 
 
 def test_semigroup_scalar_case():
     op = HeatOperator(Grid(1, 2))
-    out = op.apply_semigroup(0.25, np.array([1.0]))
+    out = HeatFlow(op, 0.25).heat(np.array([1.0]))
     assert out[0] == pytest.approx(np.exp(-2.0), rel=1e-14)
-
-
-def test_semigroup_tau_zero_identity():
-    op = HeatOperator(Grid(1, 8))
-    v = np.arange(7.0)
-    assert op.apply_semigroup(0.0, v) is v
 
 
 def test_semigroup_negative_tau_rejected():
     op = HeatOperator(Grid(1, 8))
-    with pytest.raises(ValueError):
-        op.apply_semigroup(-0.1, np.zeros(7))
+    with pytest.raises(ValueError, match=re.escape("tau must be finite and > 0, got -0.1")):
+        HeatFlow(op, -0.1)
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf])
 def test_flows_reject_a_non_finite_tau(tau):
     op = HeatOperator(Grid(1, 8))
-    with pytest.raises(ValueError, match=re.escape(f"tau must be finite and >= 0, got {tau}")):
-        op.apply_semigroup(tau, np.ones(7))
     with pytest.raises(ValueError, match=re.escape(f"tau must be finite and > 0, got {tau}")):
-        op.solve_implicit(tau, np.ones(7))
+        HeatFlow(op, tau)
 
 
 def test_semigroup_eigenvector_decay():
     op = HeatOperator(Grid(1, 8))
     tau = 0.37
+    flow = HeatFlow(op, tau)
     for k in (1, 3, 7):
         v = op.eigenvector(k)
-        out = op.apply_semigroup(tau, v)
+        out = flow.heat(v)
         assert np.allclose(out, np.exp(tau * op.eigenvalues[k - 1]) * v, atol=1e-12)
 
 
@@ -169,7 +167,7 @@ def test_semigroup_vs_dense_expm(grid):
     for tau in (0.003, 0.21, 1.0):
         E = scipy.linalg.expm(tau * op.dense_matrix())
         v = rand_field(grid, rng)
-        got = op.apply_semigroup(tau, v).reshape(-1)
+        got = HeatFlow(op, tau).heat(v).reshape(-1)
         assert np.allclose(got, E @ v.reshape(-1), atol=1e-10)
 
 
@@ -179,8 +177,8 @@ def test_semigroup_law():
         op = HeatOperator(grid)
         v = rand_field(grid, rng)
         s, t = 0.07, 0.45
-        a = op.apply_semigroup(s, op.apply_semigroup(t, v))
-        b = op.apply_semigroup(s + t, v)
+        a = HeatFlow(op, s).heat(HeatFlow(op, t).heat(v))
+        b = HeatFlow(op, s + t).heat(v)
         assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
@@ -189,7 +187,7 @@ def test_semigroup_positivity_exact():
     for grid in (Grid(1, 64), Grid(1, 256), Grid(2, 16)):
         op = HeatOperator(grid)
         for tau in (1e-4, 0.03, 2.0):
-            out = op.apply_semigroup(tau, rand_field(grid, rng, nonneg=True))
+            out = HeatFlow(op, tau).heat(rand_field(grid, rng, nonneg=True))
             assert np.min(out) >= 0.0
 
 
@@ -199,7 +197,7 @@ def test_semigroup_contraction():
         op = HeatOperator(grid)
         for tau in (0.001, 0.1, 1.0):
             v = rand_field(grid, rng)
-            assert sup(op.apply_semigroup(tau, v)) <= sup(v) * (1 + 1e-14)
+            assert sup(HeatFlow(op, tau).heat(v)) <= sup(v) * (1 + 1e-14)
 
 
 def test_semigroup_diagnostics_error_on_genuine_negative():
@@ -227,18 +225,18 @@ def test_matmul_and_fft_transforms_agree():
     )
 
 
-# -- solve_implicit ----------------------------------------------------------
+# -- HeatFlow.solve ---------------------------------------------------------
 
 
 def test_solve_scalar_case():
     op = HeatOperator(Grid(1, 2))
-    out = op.solve_implicit(0.25, np.array([1.0]))
+    out = HeatFlow(op, 0.25).solve(np.array([1.0]))
     assert out[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_solve_zero_rhs():
     op = HeatOperator(Grid(2, 6))
-    out = op.solve_implicit(0.5, np.zeros((5, 5)))
+    out = HeatFlow(op, 0.5).solve(np.zeros((5, 5)))
     assert np.all(out == 0.0)
 
 
@@ -248,7 +246,7 @@ def test_solve_residual(grid):
     op = HeatOperator(grid)
     b = rand_field(grid, rng)
     for tau in (1e-3, 0.25, 3.0):
-        x = op.solve_implicit(tau, b)
+        x = HeatFlow(op, tau).solve(b)
         residual = x - tau * op.laplacian_array(x) - b
         assert sup(residual) <= 1e-12 * max(sup(b), 1.0)
 
@@ -260,14 +258,14 @@ def test_solve_inverts_forward_map():
         x = rand_field(grid, rng)
         tau = 0.11
         b = x - tau * op.laplacian_array(x)
-        back = op.solve_implicit(tau, b)
+        back = HeatFlow(op, tau).solve(b)
         assert np.allclose(back, x, rtol=1e-12, atol=1e-12)
 
 
 def test_solve_rejects_nonpositive_tau():
     op = HeatOperator(Grid(1, 4))
-    with pytest.raises(ValueError):
-        op.solve_implicit(0.0, np.zeros(3))
+    with pytest.raises(ValueError, match=re.escape("tau must be finite and > 0, got 0.0")):
+        HeatFlow(op, 0.0)
 
 
 # -- semigroup_array pinned against the straightforward implementation ------
@@ -320,7 +318,7 @@ def mixed_batch(grid, rng):
 def test_semigroup_array_matches_reference_bitwise(grid):
     op = HeatOperator(grid)
     assert (op._sine_matrix is None) == (grid.d == 1)  # DST path, matmul path
-    mult = frozen(op.semigroup_multipliers(2.0**-10))
+    mult = frozen(HeatFlow(op, 2.0**-10).semigroup_mult)
     arr = mixed_batch(grid, np.random.default_rng(31))
     arr_before, mult_before = arr.copy(), mult.copy()
     raw = reference_semigroup_array(op, arr, mult, clamp_nonneg=False)
@@ -344,11 +342,12 @@ def test_semigroup_array_matches_reference_bitwise(grid):
 @pytest.mark.parametrize("grid", [Grid(1, 256), Grid(2, 16), Grid(1, 64)])
 def test_semigroup_array_zero_size_batch(grid):
     op = HeatOperator(grid)
-    mult = op.semigroup_multipliers(0.1)
+    flow = HeatFlow(op, 0.1)
     empty = np.zeros((0,) + grid.shape)
     for clamp in (True, False):
-        out = op.semigroup_array(empty, mult, clamp_nonneg=clamp)
+        out = op.semigroup_array(empty, flow.semigroup_mult, clamp_nonneg=clamp)
         assert out.shape == empty.shape
+    assert flow.heat(empty).shape == flow.solve(empty).shape == empty.shape
 
 
 def test_sine_transform_overwrite_same_bits():
@@ -371,7 +370,7 @@ def test_semigroup_negative_multiplier_raises_property(d, N, level, seed):
     op = HeatOperator(Grid(d, N))
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, op.grid.shape)
-    mult = op.semigroup_multipliers(2.0**-level)
+    mult = HeatFlow(op, 2.0**-level).semigroup_mult
     k = tuple(int(rng.integers(0, n)) for n in mult.shape)
     assume(abs(op.sine_transform(u)[k]) > 1e-3 * u.max())
     mult[k] = -1e6
@@ -389,7 +388,7 @@ def test_semigroup_roundoff_negatives_are_clamped_property(d, N, level, seed):
     rng = np.random.default_rng(seed)
     u = np.zeros(op.grid.shape)
     u[tuple(int(rng.integers(0, n)) for n in u.shape)] = rng.uniform(0.5, 2.0)
-    mult = op.semigroup_multipliers(2.0**-level)
+    mult = HeatFlow(op, 2.0**-level).semigroup_mult
     raw = op.semigroup_array(u, mult, clamp_nonneg=False)
     assert -1e-12 * u.max() < raw.min() < 0.0
     out = op.semigroup_array(u, mult)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spde_lab.experiments import CENSUS_G
-from spde_lab.heat_operator import HeatOperator
+from spde_lab.heat_operator import HeatFlow, HeatOperator
 from spde_lab.integrators import (
     EXP_ARG_MAX,
     UPDATES,
@@ -64,7 +64,7 @@ def test_lt_linear_one_step_closed_form():
     u0 = sample_initial(sine_initial, op.grid)
     db = 0.21
     got = step(LT, ctx, u0, db)
-    want = math.exp(db - 0.125 / 2) * op.apply_semigroup(0.125, u0)
+    want = math.exp(db - 0.125 / 2) * HeatFlow(op, 0.125).heat(u0)
     assert np.allclose(got, want, rtol=1e-13)
 
 
@@ -81,11 +81,11 @@ def test_zero_noise_reductions():
     op, ctx = make((1, 16), "zero", 0.0, 0.2)
     rng = np.random.default_rng(4)
     u = rng.uniform(0, 1, 15)
-    heat = op.apply_semigroup(0.2, u)
+    heat = HeatFlow(op, 0.2).heat(u)
     assert np.array_equal(step(LT, ctx, u, 0.9), heat)
     assert np.array_equal(step(SEXP, ctx, u, 0.9), heat)
     assert np.array_equal(step(EM, ctx, u, 0.9), u + 0.2 * op.laplacian_array(u))
-    assert np.array_equal(step(SEM, ctx, u, 0.9), op.solve_implicit(0.2, u))
+    assert np.array_equal(step(SEM, ctx, u, 0.9), HeatFlow(op, 0.2).solve(u))
 
 
 # -- scalar oracle (independent formulas, N=2) --------------------------------
@@ -179,6 +179,18 @@ def test_exact_linear_array_rows_match_exact_linear_solution_bitwise(d, N):
             for i, t in enumerate(times):
                 want = exact_linear_array(op, u0, lam, float(betas[b, i]), float(t))
                 assert same_bits(got[b, i], want)
+
+
+def test_exact_linear_array_at_time_zero_is_u0_bitwise():
+    # e^{0 A} is the identity, applied without a transform, so the t = 0
+    # row is exactly the noise factor times u0
+    op, _ = make((1, 8), "linear", 1.0, 1.0)
+    v = np.arange(7.0)
+    assert same_bits(exact_linear_array(op, v, 2.0, 0.0, 0.0), v)
+    got = exact_linear_array(op, v, 2.0, np.array([0.0, 0.3]), np.array([0.0, 0.0]))
+    assert same_bits(got[1], np.exp(2.0 * 0.3) * v)
+    with pytest.raises(ValueError, match=re.escape("tau must be finite and > 0, got -0.5")):
+        exact_linear_array(op, v, 2.0, 0.0, -0.5)
 
 
 @pytest.mark.parametrize("d,N", [(1, 16), (1, 128), (1, 256), (2, 8), (2, 16)])
@@ -306,12 +318,12 @@ def reference_lt_update(ctx, U, dbeta):
     if clamped:
         arg = np.minimum(arg, EXP_ARG_MAX)
     W = U * np.exp(arg)
-    return ctx.op.semigroup_array(W, ctx.semigroup_mult), clamped
+    return ctx.heat(W), clamped
 
 
 def reference_sexp_update(ctx, U, dbeta):
     db = _expand_increment(dbeta, ctx.op.grid.d)
-    return ctx.op.semigroup_array(U + ctx.nl.g(U) * db, ctx.semigroup_mult), 0
+    return ctx.heat(U + ctx.nl.g(U) * db), 0
 
 
 KERNELS = [(lt_update, reference_lt_update), (sexp_update, reference_sexp_update)]

@@ -23,6 +23,21 @@ def test_grid_rejects_bad_parameters(d, N):
         Grid(d, N)
 
 
+@pytest.mark.parametrize("d,N,message", [
+    (1, 64.0, "N takes integers, got 64.0"),
+    (1.0, 64, "d takes integers, got 1.0"),
+    (True, 64, "d takes integers, got True"),
+    (2, np.float64(8.0), "N takes integers, got np.float64(8.0)"),
+])
+def test_grid_rejects_a_float_or_bool(d, N, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Grid(d, N)
+
+
+def test_grid_accepts_numpy_integers():
+    assert Grid(np.int64(2), np.int32(5)).shape == (4, 4)
+
+
 def test_field_length_checked():
     with pytest.raises(ValueError, match=re.escape("field of shape (2,) does not match the "
                                                    "grid's shape (3,)")):
