@@ -2,13 +2,19 @@
 
 Subcommands: census, convergence, mesh-study, selftest. Flags override
 config-file values (``--config``, one ``key = value`` per line, ``#``
-comments); the environment variable SPDE_LAB_SEED is the seed fallback.
-Only the values the user set reach the run: they override the reference
-experiment parameters, which live in ``CensusConfig`` and
-``ConvergenceConfig`` (and their ``default_2d``), as --help shows them.
-One table, ``_KEYS``, gives each flag and config-file key. A value of 0
-is a value, not "unset": ``--lambda 0`` runs without noise, and
+comments, each key set once); the environment variable SPDE_LAB_SEED is
+the seed fallback. Only the values the user set reach the run: they
+override the reference experiment parameters, which live in
+``CensusConfig`` and ``ConvergenceConfig`` (and their ``default_2d``), as
+--help shows them. One table, ``_KEYS``, gives each flag and config-file
+key with its converter. A converter only turns text into the config's
+type, or raises ValueError with a reason that parse_args prefixes with
+the text's source (``--tau '3^-2'``, ``run.cfg: tau = '3^-2'`` or
+``$SPDE_LAB_SEED 'abc'``). Every value check is the config's, with its
+own message (``tau = 0.1 is not an exact power of two``). A value of 0 is
+a value, not "unset": ``--lambda 0`` runs without noise, and
 ``--samples 0`` is rejected by the config as it is from a config file.
+An ``--out`` that no run could write fails before the run.
 
 Exit codes: 0 success, 1 usage/config/I-O error, 2 selftest failure.
 """
@@ -16,6 +22,7 @@ Exit codes: 0 success, 1 usage/config/I-O error, 2 selftest failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import dataclass
@@ -26,7 +33,6 @@ from .experiments import (
     CensusConfig,
     ConvergenceConfig,
     config_text,
-    dyadic_exponent,
     mean_square_error_study,
     mesh_independence_study,
     positivity_census,
@@ -57,67 +63,67 @@ class RunSpec:
 
 
 def parse_tau(text: str) -> float:
-    """Accept 2^-j literals or decimals equal to an exact power of two, each
-    a positive float64 (2^-2000 rounds to 0 and is rejected)."""
-    s = str(text).strip()
+    """A 2^k literal or a decimal; CensusConfig checks that it is a dyadic
+    step (2^-2000 rounds to 0.0, which it rejects)."""
+    base, caret, exp = text.partition("^")
     try:
-        if "^" in s:
-            base, exp = s.split("^", 1)
-            if base.strip() != "2":
-                raise ValueError
-            value = 2.0 ** int(exp)
-        else:
-            value = float(s)
-        dyadic_exponent(value)
-        return value
-    except (ValueError, OverflowError):
-        raise UsageError(
-            f"--tau {text!r} is not dyadic in float64; use a 2^-j literal or an exact power of two"
-        ) from None
+        if caret and base.strip() == "2":
+            return 2.0 ** int(exp)
+        return float(text)
+    except OverflowError:
+        raise ValueError("overflows float64") from None
+    except ValueError:
+        raise ValueError("is not a 2^k literal or a decimal") from None
 
 
 def parse_levels(text: str) -> tuple[int, ...]:
-    """'4..12' ranges or '4,6,8' lists of step-size exponents."""
-    s = str(text).strip()
+    """'4..12' ranges or '4,6,8' lists of step-size exponents;
+    ConvergenceConfig rejects an empty range."""
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in s:
-            lo, hi = s.split("..", 1)
-            levels = tuple(range(int(lo), int(hi) + 1))
-        else:
-            levels = tuple(int(p) for p in s.split(","))
-        if not levels:
-            raise ValueError
-        return levels
+        if dots:
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"--levels {text!r} is not a range like 4..12 or a list like 4,6,8") from None
+        raise ValueError("is not a range like 4..12 or a list like 4,6,8") from None
 
 
 def parse_integrators(text: str) -> tuple[IntegratorKind, ...]:
     kinds = []
-    for part in str(text).split(","):
-        name = part.strip().lower()
+    for part in text.split(","):
         try:
-            kinds.append(IntegratorKind(name))
+            kinds.append(IntegratorKind(part.strip().lower()))
         except ValueError:
-            raise UsageError(
-                f"--integrators: unknown integrator {part!r} (choose from {_INTEGRATOR_NAMES})"
+            raise ValueError(
+                f"names an unknown integrator {part.strip()!r} (choose from {_INTEGRATOR_NAMES})"
             ) from None
     return tuple(kinds)
 
 
-def _parse_g(text: str, census: bool) -> list[str]:
-    names = [p.strip().lower() for p in str(text).split(",")]
-    if census and names == ["all"]:
-        return list(CENSUS_G)
-    if not census and len(names) != 1:
-        raise UsageError("--g takes a single tag for convergence studies")
-    return names
+def _parse_g(text: str) -> tuple[str, ...]:
+    """Census tags, lowercased; 'all' is every census g."""
+    names = tuple(p.strip().lower() for p in text.split(","))
+    return CENSUS_G if names == ("all",) else names
+
+
+def _parse_tag(text: str) -> str:
+    """A study's one tag, lowercased."""
+    if "," in text:
+        raise ValueError("takes a single tag for convergence studies")
+    return text.strip().lower()
+
+
+def _parse_mesh_N(text: str) -> list[int]:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError("is not a valid value") from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
     """key = value lines, # comments; keys mirror the flag names
-    (dashes and underscores interchangeable)."""
-    out = {}
+    (dashes and underscores interchangeable), each set once."""
+    out, first_line = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -127,7 +133,11 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 key, value = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key in out:
+                    raise UsageError(
+                        f"{path}:{lineno}: {key} is set on lines {first_line[key]} and {lineno}")
+                out[key], first_line[key] = value.strip(), lineno
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return out
@@ -146,7 +156,6 @@ class _Key(NamedTuple):
     field: str | None  # the config field it sets; None for out and jobs
     convert: Callable[[str], Any]
     commands: tuple[str, ...] = _RUNS
-    choices: tuple[str, ...] | None = None
 
 
 # in --help order, which is also the order the values are converted in
@@ -157,24 +166,24 @@ _KEYS = (
          None, int),
     _Key("d", "spatial dimension, 1 or 2 (default {default})", "d", int),
     _Key("N", "subdivisions per axis (default {default})", "N", int, ("census", "convergence")),
-    _Key("N", "comma list of subdivisions per axis (default {default})", "N",
-         lambda text: [int(p) for p in text.split(",")], ("mesh-study",)),
+    _Key("N", "comma list of subdivisions per axis (default {default})", "N", _parse_mesh_N,
+         ("mesh-study",)),
     _Key("T", "time horizon (default {default})", "T", float),
     _Key("lambda", "noise intensity, 0 for no noise (default {default})", "lam", float),
     _Key("samples", "Monte Carlo sample count (default {default})", "samples", int),
     _Key("integrators", f"comma list among {_INTEGRATOR_NAMES} (default {{default}})", "integrators",
          parse_integrators),
     _Key("g", "nonlinearity tag(s), comma list or 'all' (default {default})", "g_names",
-         lambda text: _parse_g(text, census=True), ("census",)),
+         _parse_g, ("census",)),
     _Key("tau", "time step, 2^-j literal or exact dyadic decimal (default {default})", "tau",
          parse_tau, ("census",)),
-    _Key("g", "nonlinearity tag (default {default})", "g_name",
-         lambda text: _parse_g(text, census=False)[0], _STUDIES),
+    _Key("g", "nonlinearity tag (default {default})", "g_name", _parse_tag, _STUDIES),
     _Key("levels", "step levels, tau = 2^-level, as 4..12 or 4,6,8 (default {default})", "levels",
          parse_levels, _STUDIES),
     _Key("ref_level", "LT reference level (default {default})", "ref_level", int, _STUDIES),
-    _Key("reference", "reference solution; exact-linear needs --g linear (default {default})",
-         "reference", lambda text: text.replace("-", "_"), ("convergence",), ("lt", "exact-linear")),
+    _Key("reference", "reference solution, lt or exact-linear; exact-linear needs --g linear "
+         "(default {default})", "reference", lambda text: text.replace("-", "_"),
+         ("convergence",)),
 )
 
 # mesh-study's own settings, read as if given on the command line; the rest,
@@ -208,7 +217,7 @@ def _build_parser() -> _Parser:
             if row.key not in defaults and row.field is not None:
                 a, b = config_text(getattr(one, row.field)), config_text(getattr(two, row.field))
                 defaults[row.key] = a if a == b or row.key == "d" else f"{a} in 1d, {b} in 2d"
-            p.add_argument("--" + row.key.replace("_", "-"), dest=row.key, choices=row.choices,
+            p.add_argument("--" + row.key.replace("_", "-"), dest=row.key,
                            help=row.help.format(default=defaults.get(row.key)))
 
     sub.add_parser("selftest", help="run the fast invariant suite (exit 2 on failure)")
@@ -246,9 +255,10 @@ def parse_args(argv=None) -> RunSpec:
         if key in given:
             try:
                 overrides[row.field or key] = row.convert(given[key])
-            except ValueError:
+            except ValueError as exc:  # int and float give no reason of ours
                 where = source.get(key, "--" + key.replace("_", "-"))
-                raise UsageError(f"{where} {given[key]!r} is not a valid value") from None
+                reason = "is not a valid value" if row.convert in (int, float) else exc
+                raise UsageError(f"{where} {given[key]!r} {reason}") from None
     jobs, out = overrides.pop("jobs", os.cpu_count() or 1), overrides.pop("out")
     mesh_N = overrides["N"] if cmd == "mesh-study" else None
     if mesh_N:
@@ -262,9 +272,25 @@ def parse_args(argv=None) -> RunSpec:
             make = ConvergenceConfig.default_2d
         else:
             make = ConvergenceConfig
-        return RunSpec(cmd, make(**overrides), mesh_N=mesh_N, out=out, jobs=jobs)
+        spec = RunSpec(cmd, make(**overrides), mesh_N=mesh_N, out=out, jobs=jobs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _check_out(out)
+    return spec
+
+
+def _check_out(path: str) -> None:
+    """Raise, before the run, the error write_report would raise after it
+    for a path that is a directory or whose parent is missing or is not a
+    directory. The file itself is neither created nor truncated."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write report to {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _run_selftest() -> int:

@@ -101,6 +101,8 @@ def _no_duplicates(name: str, values: Iterable) -> None:
 def _check_shared(cfg: "CensusConfig | ConvergenceConfig") -> None:
     Grid(cfg.d, cfg.N)  # validates d and N
     object.__setattr__(cfg, "integrators", tuple(cfg.integrators))
+    if not cfg.integrators:
+        raise ValueError("need at least one integrator")
     check_int("samples", cfg.samples)
     if cfg.samples < 1:
         raise ValueError("need at least one sample")

@@ -51,7 +51,7 @@ _SINE_ABSORBED = 2.0**54
 @dataclass(frozen=True)
 class Nonlinearity:
     """A diffusion coefficient g and f = g/v, with f(0) = g'(0); the name is
-    its CLI_NAMES spelling, or "custom". Name and lam are its equality key."""
+    its CLI_NAMES spelling. Name and lam are its equality key."""
 
     name: str
     lam: float
@@ -67,7 +67,7 @@ class Nonlinearity:
 def _ratio_with_limit(g: Callable, gprime0: float) -> Callable:
     def f(v):
         v = np.asarray(v, dtype=np.float64)
-        gv = g(v)  # may be v itself (a custom g): only read
+        gv = g(v)
         a = np.abs(v)
         if a.min(initial=np.inf) >= _NEAR_ZERO:
             return gv / v
@@ -133,12 +133,6 @@ def zero() -> Nonlinearity:
         return np.zeros_like(np.asarray(v, dtype=np.float64))
 
     return Nonlinearity("zero", 0.0, g=zeros, f=zeros)
-
-
-def custom(g: Callable, gprime0: float, lam: float = 1.0) -> Nonlinearity:
-    """Wrap a user coefficient; g must be vectorized and satisfy g(0) = 0,
-    and gprime0 = g'(0) is f's value near 0."""
-    return Nonlinearity("custom", lam, g=g, f=_ratio_with_limit(g, gprime0))
 
 
 #: CLI spellings of the catalogue, each with its builder taking lam.

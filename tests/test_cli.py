@@ -20,17 +20,26 @@ def test_parse_tau_literals():
     assert parse_tau("2^3") == 8.0
     assert parse_tau("0.03125") == 2.0**-5
     assert parse_tau("0.25") == 0.25
+    # syntax only: CensusConfig rejects these values
+    assert parse_tau("0.1") == 0.1
+    assert parse_tau("2^-2000") == 0.0
+    with pytest.raises(ValueError, match=r"^is not a 2\^k literal or a decimal$"):
+        parse_tau("3^-2")
+    with pytest.raises(ValueError, match="^overflows float64$"):
+        parse_tau("2^2000")
 
 
 @pytest.mark.parametrize("bad", ["0.1", "3^-2", "abc", "0.3"])
 def test_parse_tau_rejects_non_dyadic(bad):
+    # parse_tau rejects what is not a number, CensusConfig a number that is
+    # not dyadic
     with pytest.raises(UsageError):
-        parse_tau(bad)
+        parse_args(["census", "--tau", bad])
 
 
 @pytest.mark.parametrize("tau,message", [
-    ("2^-2000", "--tau '2^-2000' is not dyadic in float64"),  # rounds to 0.0
-    ("2^2000", "--tau '2^2000' is not dyadic in float64"),
+    ("2^-2000", "tau = 0.0 is not a positive power of two"),  # rounds to 0.0
+    ("2^2000", "--tau '2^2000' overflows float64"),
     ("5e-324", "tau = 2^-1074 over T = 2.0 takes 2^1075 steps, more than the cap 2^24"),
     ("2^3", "tau = 2^3 exceeds the horizon T = 2.0"),
 ])
@@ -53,16 +62,20 @@ def test_parse_levels():
     assert parse_levels("4..12") == tuple(range(4, 13))
     assert parse_levels("4,6,8") == (4, 6, 8)
     assert parse_levels("7") == (7,)
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError, match="^is not a range like 4..12 or a list like 4,6,8$"):
         parse_levels("4..")
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError, match="^is not a range like 4..12 or a list like 4,6,8$"):
         parse_levels("a,b")
+    assert parse_levels("12..4") == ()  # ConvergenceConfig rejects it
+    with pytest.raises(UsageError, match="^need at least one step level$"):
+        parse_args("convergence --levels 12..4".split())
 
 
 def test_parse_integrators():
     assert parse_integrators("lt,em") == (IntegratorKind.LT, IntegratorKind.EM)
     assert parse_integrators("SEXP") == (IntegratorKind.SEXP,)
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError, match=re.escape(
+            "names an unknown integrator 'milstein' (choose from lt, em, sem, sexp)")):
         parse_integrators("lt,milstein")
 
 
@@ -111,7 +124,8 @@ def test_parse_args_rejects_unknown_g():
         parse_args("census --g linear,cubic".split())
     with pytest.raises(UsageError, match=message):
         parse_args("convergence --g cubic".split())
-    with pytest.raises(UsageError, match="--g takes a single tag for convergence studies"):
+    with pytest.raises(UsageError, match="^--g 'linear,rational' takes a single tag for "
+                                         "convergence studies$"):
         parse_args("convergence --g linear,rational".split())
 
 
@@ -155,6 +169,19 @@ def test_config_file_dashed_keys(tmp_path):
     assert spec.config.levels == (3, 4)
 
 
+def test_config_file_sets_each_key_once(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 3\n# more samples\nsamples = 5\n", encoding="utf-8")
+    with pytest.raises(UsageError) as exc:
+        parse_args(["census", "--config", str(cfg)])
+    assert str(exc.value) == f"{cfg}:3: samples is set on lines 1 and 3"
+    # dashes and underscores spell one key
+    cfg.write_text("ref-level = 9\nref_level = 10\n", encoding="utf-8")
+    with pytest.raises(UsageError) as exc:
+        parse_args(["convergence", "--config", str(cfg)])
+    assert str(exc.value) == f"{cfg}:2: ref_level is set on lines 1 and 2"
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("samples = 7\nwidgets = 3\n", encoding="utf-8")
@@ -164,7 +191,7 @@ def test_config_file_unknown_key(tmp_path):
 
 def test_main_usage_error_exits_1(capsys):
     assert main(["census", "--tau", "0.3"]) == 1
-    assert "dyadic" in capsys.readouterr().err
+    assert "tau = 0.3 is not an exact power of two" in capsys.readouterr().err
 
 
 def test_main_unknown_flag_exits_1(capsys):
@@ -230,11 +257,21 @@ def test_main_mesh_study_small_run(tmp_path):
     assert any("# slope:lt[N=16]=" in l for l in lines)
 
 
-def test_main_bad_output_path_exits_1(tmp_path, capsys):
-    out = tmp_path / "missing" / "dir" / "x.csv"
-    code = main(["census", "--g", "linear", "--N", "16", "--samples", "2", "--out", str(out)])
-    assert code == 1
-    assert "x.csv" in capsys.readouterr().err
+def test_main_bad_output_path_exits_1(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the census ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "positivity_census", no_run)
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    for out, reason in [(tmp_path / "missing" / "dir" / "x.csv", "No such file or directory"),
+                        (tmp_path / "file" / "x.csv", "Not a directory"),
+                        (tmp_path, "Is a directory")]:
+        code = main(["census", "--g", "linear", "--N", "16", "--samples", "2", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"spde-lab: error: cannot write report to {out}: ")
+        assert f"{reason}: '{out}'" in err
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_main_selftest_exits_0():
@@ -476,3 +513,43 @@ def test_help_defaults_come_from_the_configs(monkeypatch, capsys):
     mesh = help_of("mesh-study")
     assert "LT reference level (default 17)" in mesh
     assert "noise intensity, 0 for no noise (default 1.5)" in mesh
+
+
+# a text that each _KEYS row, named by its key and first subcommand, cannot
+# convert; the other rows convert every text and leave the check to the config
+UNCONVERTIBLE = {
+    ("seed", "census"): "x1", ("jobs", "census"): "two", ("d", "census"): "one",
+    ("N", "census"): "16.5", ("N", "mesh-study"): "16,x", ("T", "census"): "half",
+    ("lambda", "census"): "big", ("samples", "census"): "many",
+    ("integrators", "census"): "lt,milstein", ("tau", "census"): "3^-2",
+    ("g", "convergence"): "linear,rational", ("levels", "convergence"): "4..x",
+    ("ref_level", "convergence"): "ten",
+}
+
+
+def test_every_key_that_can_fail_to_convert_is_covered():
+    rows = {(row.key, row.commands[0]) for row in cli._KEYS}
+    assert rows - UNCONVERTIBLE.keys() == {("out", "census"), ("g", "census"),
+                                           ("reference", "convergence")}
+
+
+@pytest.mark.parametrize("key,cmd", list(UNCONVERTIBLE))
+def test_a_bad_value_names_its_source(tmp_path, monkeypatch, key, cmd):
+    monkeypatch.delenv("SPDE_LAB_SEED", raising=False)
+    text = UNCONVERTIBLE[key, cmd]
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(UsageError) as exc:
+        parse_args([cmd, flag, text])
+    assert str(exc.value).startswith(f"{flag} {text!r} ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+    sources = [(f"{cfg}: {key} = {text!r} ", [cmd, "--config", str(cfg)])]
+    if key == "seed":
+        monkeypatch.setenv("SPDE_LAB_SEED", text)
+        sources.append((f"$SPDE_LAB_SEED {text!r} ", [cmd]))
+    for source, argv in sources:
+        with pytest.raises(UsageError) as exc:
+            parse_args(argv)
+        message = str(exc.value)
+        assert message.startswith(source)
+        assert "--" not in message[len(source):]  # no flag nobody gave
