@@ -122,7 +122,8 @@ def _parse_mesh_N(text: str) -> list[int]:
 
 def _read_config_file(path: str) -> dict[str, str]:
     """key = value lines, # comments; keys mirror the flag names
-    (dashes and underscores interchangeable), each set once."""
+    (dashes and underscores interchangeable), each set once. A key that no
+    subcommand takes is an error at its line."""
     out, first_line = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -134,6 +135,8 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
+                if not any(row.key == key for row in _KEYS):
+                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 if key in out:
                     raise UsageError(
                         f"{path}:{lineno}: {key} is set on lines {first_line[key]} and {lineno}")
@@ -232,9 +235,6 @@ def parse_args(argv=None) -> RunSpec:
         return RunSpec(subcommand="selftest")
 
     cfg_file = _read_config_file(args.config) if args.config else {}
-    for key in cfg_file:
-        if not any(row.key == key for row in _KEYS):
-            raise UsageError(f"config file: unknown key {key!r}")
     rows = {row.key: row for row in _KEYS if cmd in row.commands}
     # what the user set, as text: a flag, else a config-file key; a key
     # this subcommand has no flag for (levels in a census file) is ignored.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -98,8 +99,17 @@ def _no_duplicates(name: str, values: Iterable) -> None:
             raise ValueError(f"{name} lists {config_text(value)} more than once")
 
 
+def _check_number(name: str, value) -> None:
+    """Raise ValueError unless value is a real number; a bool is rejected,
+    as check_int rejects it for a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} takes a number, got {value!r}")
+
+
 def _check_shared(cfg: "CensusConfig | ConvergenceConfig") -> None:
     Grid(cfg.d, cfg.N)  # validates d and N
+    _check_number("T", cfg.T)
+    _check_number("lambda", cfg.lam)
     object.__setattr__(cfg, "integrators", tuple(cfg.integrators))
     if not cfg.integrators:
         raise ValueError("need at least one integrator")
@@ -132,6 +142,7 @@ class CensusConfig:
 
     def __post_init__(self):
         _check_shared(self)
+        _check_number("tau", self.tau)
         try:
             level = -dyadic_exponent(self.tau)
         except ValueError as exc:
@@ -408,10 +419,6 @@ def _setup(cfg: CensusConfig | ConvergenceConfig) -> tuple[HeatOperator, np.ndar
     return HeatOperator(grid), sample_initial(sine_initial, grid)
 
 
-def _tile_initial(u0: np.ndarray, count: int) -> np.ndarray:
-    return np.broadcast_to(u0, (count,) + u0.shape).copy()
-
-
 # ---------------------------------------------------------------------------
 # positivity census
 
@@ -432,6 +439,7 @@ def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
 
     def run_block(block: range) -> dict[tuple[str, str, IntegratorKind], int]:
         incr = sample_increment_batch(cfg.T, level, cfg.master_seed, block)
+        start = np.broadcast_to(u0, (len(block),) + u0.shape)  # read-only, shared by every run
         out = {}
         for g, ctx in zip(cfg.g_names, contexts):
             for kind in cfg.integrators:
@@ -442,7 +450,7 @@ def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
                     np.minimum(running_min, np.min(U, axis=axes), out=running_min)
                     np.logical_and(finite, np.isfinite(U).all(axis=axes), out=finite)
 
-                evolve(ctx, kind, _tile_initial(u0, len(block)), incr, 1, track)
+                evolve(ctx, kind, start, incr, 1, track)
                 positive = finite & (running_min >= 0.0)
                 out["positive", g, kind] = int(positive.sum())
                 out["diverged", g, kind] = int((~finite).sum())
@@ -519,12 +527,12 @@ def _coupled_sums(
     def run_block(block: range):
         incr_fine = sample_increment_batch(cfg.T, path_fine, cfg.master_seed, block)
         B = len(block)
+        start = np.broadcast_to(u0, (B,) + u0.shape)  # read-only, shared by every run
         stride = incr_fine.shape[1] // M0
         ref_finite = np.ones(B, dtype=bool)
         if reference == "lt":
-            ref_cp, ref_finite = _run_checkpointed(
-                ref_ctx, IntegratorKind.LT, _tile_initial(u0, B), incr_fine, stride
-            )
+            ref_cp, ref_finite = _run_checkpointed(ref_ctx, IntegratorKind.LT, start, incr_fine,
+                                                   stride)
         elif reference == "exact_linear":
             betas = np.cumsum(incr_fine, axis=1)[:, stride - 1 :: stride]
             beta_cp = np.concatenate([np.zeros((B, 1)), betas], axis=1)
@@ -536,9 +544,8 @@ def _coupled_sums(
         for j in cfg.levels:
             incr_j = coarsen_increments(incr_fine, path_fine, path_level(cfg.T, j))
             for kind in kinds:
-                cps, finite = _run_checkpointed(
-                    contexts[j], kind, _tile_initial(u0, B), incr_j, incr_j.shape[1] // M0
-                )
+                cps, finite = _run_checkpointed(contexts[j], kind, start, incr_j,
+                                                incr_j.shape[1] // M0)
                 ok = finite & ref_finite
                 with np.errstate(over="ignore"):
                     diff = cps[ok] - ref_cp[ok]

@@ -186,7 +186,7 @@ class HeatOperator:
 
 class HeatFlow:
     """heat(arr) = e^{tau N^2 D^N} arr and solve(arr) = (I - tau N^2 D^N)^{-1}
-    arr at one step size tau, on a field or a batch (B, *grid.shape)."""
+    arr at one step size tau, on a field or a batch that Grid.as_batch takes."""
 
     def __init__(self, op: HeatOperator, tau: float):
         if not 0 < tau < np.inf:  # NaN fails too
@@ -218,18 +218,11 @@ class HeatFlow:
         ab[0, 1:] = -c
         return scipy.linalg.cholesky_banded(ab)
 
-    def _on_grid(self, arr) -> np.ndarray:
-        arr = np.asarray(arr, dtype=np.float64)
-        shape = self.op.grid.shape
-        if arr.shape[arr.ndim - len(shape):] != shape:
-            raise ValueError(f"array of shape {arr.shape} does not end in the grid's shape {shape}")
-        return arr
-
     def heat(self, arr) -> np.ndarray:
         """e^{tau N^2 D^N} arr, clamped as semigroup_array clamps."""
-        return self.op.semigroup_array(self._on_grid(arr), self.semigroup_mult)
+        return self.op.semigroup_array(self.op.grid.as_batch(arr), self.semigroup_mult)
 
     def solve(self, arr) -> np.ndarray:
         """The unique x with (I - tau N^2 D^N) x = arr. Always solvable:
         the eigenvalues of the system matrix are all >= 1."""
-        return self.op.solve_implicit_array(self._on_grid(arr), self.implicit_factor)
+        return self.op.solve_implicit_array(self.op.grid.as_batch(arr), self.implicit_factor)

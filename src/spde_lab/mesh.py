@@ -2,7 +2,10 @@
 
 A field is a float64 array of shape grid.shape, (N-1,) or (N-1, N-1), that
 holds the interior values only; boundary values are identically zero and are
-never stored. A batch of B fields has shape (B, *grid.shape).
+never stored. A batch of B fields has shape (B, *grid.shape); Grid.as_field
+and Grid.as_batch are the shape checks. sample_initial evaluates u_0 once, on
+the closed grid, checks that it vanishes on the boundary (a non-finite
+boundary value does not) and is finite inside, and keeps the interior.
 """
 
 from __future__ import annotations
@@ -69,6 +72,15 @@ class Grid:
             raise ValueError(f"field of shape {u.shape} does not match the grid's shape {self.shape}")
         return u
 
+    def as_batch(self, arr) -> np.ndarray:
+        """arr as a float64 field or batch of fields, arr itself if it is one
+        already; raises ValueError naming both shapes unless arr's trailing
+        axes are the grid's shape."""
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.shape[arr.ndim - self.d:] != self.shape:
+            raise ValueError(f"array of shape {arr.shape} does not end in the grid's shape {self.shape}")
+        return arr
+
 
 def sine_initial(*coords: np.ndarray) -> np.ndarray:
     """u_0 = prod_i sin(pi x_i), one coordinate array per axis (vectorized):
@@ -79,43 +91,35 @@ def sine_initial(*coords: np.ndarray) -> np.ndarray:
 _BOUNDARY_TOL = 1e-12
 
 
-def _check_boundary(u0: Callable[..., np.ndarray], grid: Grid) -> None:
-    # Sample u_0 on the boundary of [0,1]^d at grid resolution; it must vanish.
-    t = np.linspace(0.0, 1.0, grid.N + 1)
-    if grid.d == 1:
-        pts = [(np.array([0.0]),), (np.array([1.0]),)]
-    else:
-        z = np.zeros_like(t)
-        o = np.ones_like(t)
-        pts = [(z, t), (o, t), (t, z), (t, o)]
-    for coords in pts:
-        vals = np.asarray(u0(*coords), dtype=np.float64)
-        bad = np.abs(vals) > _BOUNDARY_TOL
-        if bad.any():
-            i = int(np.argmax(bad))
-            where = tuple(float(c.reshape(-1)[i]) for c in coords)
-            raise ValueError(
-                f"initial data does not vanish on the boundary: "
-                f"u0{where} = {vals.reshape(-1)[i]!r}"
-            )
-
-
 def sample_initial(u0: Callable[..., np.ndarray], grid: Grid) -> np.ndarray:
-    """Evaluate u_0 at the interior grid points, as a read-only field of
-    shape grid.shape. u0 takes one coordinate array per axis (vectorized),
-    as sine_initial does.
+    """Evaluate u_0 once, on the closed grid (boundary nodes included), and
+    return its interior values as a read-only field of shape grid.shape.
+    u0 takes one coordinate array per axis (vectorized), as sine_initial
+    does.
 
-    Raises ValueError if u_0 fails to vanish on the boundary (to 1e-12) or
-    u0 returns a non-finite value, naming the offending point.
+    Raises ValueError, naming the first offending node in row-major order,
+    if a boundary value is not within 1e-12 of zero (a NaN is not) or an
+    interior value is not finite.
     """
-    _check_boundary(u0, grid)
-    x = grid.axis_coords()
-    coords = (x,) if grid.d == 1 else np.meshgrid(x, x, indexing="ij")
-    vals = np.asarray(u0(*coords), dtype=np.float64).reshape(grid.shape).copy()
-    if not np.isfinite(vals).all():
-        flat_bad = int(np.argmax(~np.isfinite(vals).reshape(-1)))
-        idx = np.unravel_index(flat_bad, grid.shape)
-        coord = tuple(float((i + 1) * grid.h) for i in idx)
-        raise ValueError(f"initial data is non-finite at x = {coord}")
-    vals.setflags(write=False)
-    return vals
+    t = np.linspace(0.0, 1.0, grid.N + 1)  # its interior nodes are grid.axis_coords()
+    coords = (t,) if grid.d == 1 else tuple(np.meshgrid(t, t, indexing="ij"))
+    closed = (grid.N + 1,) * grid.d
+    vals = np.asarray(u0(*coords), dtype=np.float64).reshape(closed)
+    interior = (slice(1, -1),) * grid.d
+    on_boundary = np.ones(closed, dtype=bool)
+    on_boundary[interior] = False
+
+    def first(bad: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        idx = np.unravel_index(int(np.argmax(bad)), closed)
+        return idx, tuple(float(c[idx]) for c in coords)
+
+    bad = on_boundary & ~(np.abs(vals) <= _BOUNDARY_TOL)
+    if bad.any():
+        idx, x = first(bad)
+        raise ValueError(f"initial data does not vanish on the boundary: u0{x} = {vals[idx]!r}")
+    bad = ~on_boundary & ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"initial data is non-finite at x = {first(bad)[1]}")
+    field = vals[interior].copy()
+    field.setflags(write=False)
+    return field

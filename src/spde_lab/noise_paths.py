@@ -68,8 +68,8 @@ def sample_increment_batch(
     Row k holds the path of sample sample_indices[k]; seed and indices
     must each fit the 64-bit key, they are never wrapped.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not 0 < T < np.inf:  # NaN fails too
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {level}")
     check_key("seed", master_seed)

@@ -156,6 +156,20 @@ def test_config_rejects_a_float_or_bool_count(config, field, value, message):
         config(**{field: value})
 
 
+@pytest.mark.parametrize("config,field,value,message", [
+    (CensusConfig, "T", True, "T takes a number, got True"),
+    (CensusConfig, "tau", True, "tau takes a number, got True"),
+    (CensusConfig, "lam", True, "lambda takes a number, got True"),
+    (CensusConfig, "lam", np.bool_(False), "lambda takes a number, got np.False_"),
+    (ConvergenceConfig, "T", True, "T takes a number, got True"),
+    (ConvergenceConfig, "lam", False, "lambda takes a number, got False"),
+])
+def test_config_rejects_a_bool_number(config, field, value, message):
+    # T=True used to run as T = 1 and echo "T=True" into the report
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config(**{field: value})
+
+
 def test_config_accepts_numpy_integer_counts():
     cfg = ConvergenceConfig(N=np.int64(16), samples=np.int32(3), levels=(np.int64(3), 4),
                             ref_level=np.int16(8))
@@ -797,6 +811,29 @@ def test_study_update_writing_into_increments_raises(monkeypatch, reference):
     cfg = ConvergenceConfig(g_name="linear", reference=reference, integrators=(LT,), **SMALL_STUDY)
     with pytest.raises(ValueError, match="read-only"):
         mean_square_error_study(cfg)
+
+
+def writes_into_start(kind):
+    """UPDATES[kind] with a write into its start field before the step."""
+    real = UPDATES[kind]
+
+    def update(ctx, U, db):
+        U += 0.0
+        return real(ctx, U, db)
+
+    return update
+
+
+def test_update_writing_into_its_start_field_raises(monkeypatch):
+    # every run of a block starts from one read-only view of u0, so a write
+    # into it fails where a per-run copy would have hidden it
+    monkeypatch.setitem(UPDATES, LT, writes_into_start(LT))
+    with pytest.raises(ValueError, match="read-only"):
+        positivity_census(CensusConfig(N=16, T=1.0, g_names=("linear",), samples=3,
+                                       integrators=(LT,)), jobs=1)
+    cfg = ConvergenceConfig(g_name="linear", integrators=(LT,), **SMALL_STUDY)
+    with pytest.raises(ValueError, match="read-only"):
+        mean_square_error_study(cfg, jobs=1)
 
 
 def test_run_path_update_writing_into_increments_raises(monkeypatch):

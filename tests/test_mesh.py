@@ -91,6 +91,66 @@ def test_sample_rejects_nonfinite_with_coordinate():
         sample_initial(bad, Grid(1, 4))
 
 
+@pytest.mark.parametrize("grid", [Grid(1, 8), Grid(2, 8)])
+def test_sample_evaluates_u0_once_on_the_closed_grid(grid):
+    calls = []
+
+    def counted(*coords):
+        calls.append([c.shape for c in coords])
+        return sine_initial(*coords)
+
+    f = sample_initial(counted, grid)
+    assert calls == [[(grid.N + 1,) * grid.d] * grid.d]
+    # the interior of the closed grid is the grid's own coordinates, bit for bit
+    x = grid.axis_coords()
+    expected = sine_initial(*((x,) if grid.d == 1 else np.meshgrid(x, x, indexing="ij")))
+    assert np.array_equal(f, expected)
+
+
+def test_closed_grid_interior_is_the_axis_coords():
+    # sample_initial's nodes; equal bits keep every stored report's bytes
+    for N in range(2, 2049):
+        assert np.array_equal(np.linspace(0.0, 1.0, N + 1)[1:-1], Grid(1, N).axis_coords()), N
+
+
+def test_sample_rejects_a_nan_on_the_boundary():
+    # abs(nan) > 1e-12 is False, so a NaN once passed where an inf did not
+    with pytest.raises(ValueError, match=re.escape(
+            "does not vanish on the boundary: u0(0.0,) = np.float64(nan)")):
+        sample_initial(lambda x: np.where(x == 0.0, np.nan, np.sin(np.pi * x)), Grid(1, 8))
+
+    def nan_on_top_edge(x, y):
+        return np.where(y == 1.0, np.nan, sine_initial(x, y))
+
+    with pytest.raises(ValueError, match=re.escape(
+            "does not vanish on the boundary: u0(0.0, 1.0) = np.float64(nan)")):
+        sample_initial(nan_on_top_edge, Grid(2, 8))
+
+
+def test_sample_names_the_first_bad_node_in_row_major_order():
+    with pytest.raises(ValueError, match=re.escape("u0(0.0, 0.25) = np.float64(0.25)")):
+        sample_initial(lambda x, y: x + y, Grid(2, 4))
+
+    # a bad boundary is named before a non-finite interior node
+    def bad(x, y):
+        return np.where((x == 0.25) & (y == 0.5), np.inf, x * y * (1.0 - y))
+
+    with pytest.raises(ValueError, match=re.escape("u0(1.0, 0.25) = np.float64(0.1875)")):
+        sample_initial(bad, Grid(2, 4))
+
+
+def test_as_batch_checks_the_trailing_shape():
+    grid = Grid(2, 4)
+    U = np.zeros((5, 3, 3))
+    assert grid.as_batch(U) is U
+    assert grid.as_batch(np.zeros((3, 3))).shape == (3, 3)
+    assert grid.as_batch([[[1, 2, 3]] * 3]).dtype == np.float64
+    for shape in ((9,), (5, 3), (3, 3, 4), ()):
+        with pytest.raises(ValueError, match=re.escape(
+                f"array of shape {shape} does not end in the grid's shape (3, 3)")):
+            grid.as_batch(np.zeros(shape))
+
+
 def test_sampled_sine_sup_approaches_one():
     sups = [
         np.max(np.abs(sample_initial(sine_initial, Grid(1, N))))

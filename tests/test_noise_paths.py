@@ -41,6 +41,16 @@ def test_count_and_variance():
     assert abs(p.mean()) <= 4 * np.sqrt(2.0**-16) / 2**8
 
 
+@pytest.mark.parametrize("T", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_horizon_must_be_positive_and_finite(T):
+    # a NaN or infinite horizon used to draw NaN or infinite increments
+    message = re.escape(f"horizon must be positive and finite, got {T}")
+    with pytest.raises(ValueError, match=message):
+        sample_increment_batch(T, 2, 1, range(1))
+    with pytest.raises(ValueError, match=message):
+        sample_path(T, 2, 1, 0)
+
+
 def test_level_cap():
     with pytest.raises(ValueError):
         sample_path(1.0, MAX_LEVEL + 1, 0, 0)

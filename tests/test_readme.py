@@ -35,6 +35,8 @@ QUOTED_ERRORS = [
     (["convergence", "--levels", "12..4"], "", "need at least one step level"),
     (["census", "--config", "run.cfg"], "samples = 3\n# more\nsamples = 5\n",
      "run.cfg:3: samples is set on lines 1 and 3"),
+    (["census", "--config", "run.cfg"], "samples = 3\nwidgets = 3\n",
+     "run.cfg:2: unknown key 'widgets'"),
     (["census", "--out", "missing/x.csv"], "",
      "cannot write report to missing/x.csv: [Errno 2] No such file or directory: 'missing/x.csv'"),
 ]
