@@ -223,7 +223,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--" + row.key.replace("_", "-"), dest=row.key,
                            help=row.help.format(default=defaults.get(row.key)))
 
-    sub.add_parser("selftest", help="run the fast invariant suite (exit 2 on failure)")
+    sub.add_parser("selftest", help="check a small study and census against a dense-matrix "
+                                   "oracle, and one step against scalar formulas (exit 2 on failure)")
     return parser
 
 
@@ -294,7 +295,7 @@ def _check_out(path: str) -> None:
 
 
 def _run_selftest() -> int:
-    from . import selftest  # only this subcommand loads the suite (and scipy)
+    from . import selftest  # only this subcommand loads the oracle (and scipy)
 
     results = selftest.run_all()
     for r in results:

@@ -23,8 +23,8 @@ normalization is exactly that matrix and is its own inverse.
 
 scipy is imported only by the calls that use it: scipy.fft when an
 operator on the DST path is built, scipy.linalg by a 1d flow's first
-solve and by dense_semigroup. So a 1d run without SEM, like every 2d run,
-never loads scipy.linalg.
+solve. So a 1d run without SEM, like every 2d run, never loads
+scipy.linalg.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .mesh import Grid
 
 # Above this per-axis size the FFT-based transform beats the dense matmul.
 _MATMUL_MAX_N = 128
-
-_DENSE_CAP = 4096
 
 
 class PositivityDiagnosticsError(RuntimeError):
@@ -142,37 +140,6 @@ class HeatOperator:
             x = scipy.linalg.cho_solve_banded((factor, False), flat.T, check_finite=False).T
             return x.reshape(rhs.shape)
         return self.sine_transform(self.sine_transform(rhs) / factor)
-
-    # -- dense diagnostic paths ---------------------------------------------
-
-    def dense_matrix(self) -> np.ndarray:
-        """Explicit dense N^2 D^N, for oracle tests at small N."""
-        if self.grid.n_interior > _DENSE_CAP:
-            raise ValueError(
-                f"dense matrix capped at {_DENSE_CAP} interior points, "
-                f"grid has {self.grid.n_interior}"
-            )
-        n = self.grid.n_interior_per_axis
-        A = self.grid.N**2 * (
-            np.diag(np.full(n, -2.0))
-            + np.diag(np.ones(n - 1), 1)
-            + np.diag(np.ones(n - 1), -1)
-        )
-        if self.grid.d == 1:
-            return A
-        eye = np.eye(n)
-        return np.kron(A, eye) + np.kron(eye, A)
-
-    def dense_semigroup(self, tau: float) -> np.ndarray:
-        """Dense exp(tau N^2 D^N) with roundoff-negative entries zeroed;
-        agrees with the spectral path to 1e-10 (alternative construction)."""
-        if self.grid.n_interior_per_axis > 2**8:
-            raise ValueError("dense semigroup capped at N = 2^8 per axis")
-        import scipy.linalg
-
-        E = scipy.linalg.expm(tau * self.dense_matrix())
-        np.copyto(E, 0.0, where=E < 0.0)
-        return E
 
     def eigenvector(self, k: int) -> np.ndarray:
         """Orthonormal sine mode v_k(n) = sqrt(2h) sin(k pi n h), 1d only."""

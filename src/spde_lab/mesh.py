@@ -97,14 +97,18 @@ def sample_initial(u0: Callable[..., np.ndarray], grid: Grid) -> np.ndarray:
     u0 takes one coordinate array per axis (vectorized), as sine_initial
     does.
 
-    Raises ValueError, naming the first offending node in row-major order,
-    if a boundary value is not within 1e-12 of zero (a NaN is not) or an
-    interior value is not finite.
+    Raises ValueError naming both shapes if u0 does not return one value
+    per node of the closed grid, and, naming the first offending node in
+    row-major order, if a boundary value is not within 1e-12 of zero (a NaN
+    is not) or an interior value is not finite.
     """
     t = np.linspace(0.0, 1.0, grid.N + 1)  # its interior nodes are grid.axis_coords()
     coords = (t,) if grid.d == 1 else tuple(np.meshgrid(t, t, indexing="ij"))
     closed = (grid.N + 1,) * grid.d
-    vals = np.asarray(u0(*coords), dtype=np.float64).reshape(closed)
+    vals = np.asarray(u0(*coords), dtype=np.float64)
+    if vals.shape != closed:
+        raise ValueError(f"u0 returned shape {vals.shape}, which does not match the closed "
+                         f"grid's shape {closed}")
     interior = (slice(1, -1),) * grid.d
     on_boundary = np.ones(closed, dtype=bool)
     on_boundary[interior] = False

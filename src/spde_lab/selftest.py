@@ -1,10 +1,22 @@
-"""Fast invariant suite behind the ``selftest`` CLI subcommand.
+"""The study and the census rebuilt on dense matrices: the check behind the
+``selftest`` CLI subcommand.
 
-Every check is deterministic, runs in well under half a minute in total,
-and validates one structural property of the build: exact flows of the
-heat operator, Brownian coarsening consistency, the f/g relation, and
-agreement of all four one-step kernels with independently hand-coded
-scalar formulas on the single-point grid N = 2.
+The oracle builds N^2 D^N as a dense matrix A (a Kronecker sum in 2d) and
+steps a batch of flattened fields one step at a time:
+
+* the semigroup is scipy.linalg.expm(tau A), with its roundoff-negative
+  entries set to zero (the heat kernel is entrywise nonnegative);
+* SEM multiplies by the dense inverse of I - tau A;
+* EM multiplies by A itself;
+* LT is u * exp(f db - f^2 tau / 2), the exponent clamped at EXP_ARG_MAX.
+
+It is independent of HeatOperator and the step kernels. It shares with the
+package only what defines the experiment: the Brownian draws
+(sample_increment_batch, coarsen_increments, path_level), the initial data
+and the catalogue g and f. run_all compares a small study and census with
+it (study rows to 1e-10 relative, census counts exactly) and runs the
+N = 2 scalar oracle, which checks one step of each integrator against
+formulas written from the step definitions.
 """
 
 from __future__ import annotations
@@ -13,13 +25,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .experiments import CENSUS_G
-from .heat_operator import HeatFlow, HeatOperator
-from .integrators import IntegratorKind, StepContext, run_path, step
-from .mesh import Grid
-from .nonlinearity import CLI_NAMES, from_name, zero
-from .noise_paths import coarsen_increments, sample_path
+from .experiments import (
+    CENSUS_G,
+    CensusConfig,
+    ConvergenceConfig,
+    mean_square_error_study,
+    path_level,
+    positivity_census,
+)
+from .heat_operator import HeatOperator
+from .integrators import EXP_ARG_MAX, IntegratorKind, StepContext, step
+from .mesh import Grid, sample_initial, sine_initial
+from .noise_paths import coarsen_increments, sample_increment_batch
+from .nonlinearity import from_name
+
+LT, EM, SEM = IntegratorKind.LT, IntegratorKind.EM, IntegratorKind.SEM
 
 
 @dataclass
@@ -29,99 +51,137 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, err: float, tol: float, extra: str = "") -> CheckResult:
-    detail = f"max deviation {err:.3e} (tol {tol:.0e}){extra}"
-    return CheckResult(name, bool(err <= tol), detail)
+def dense_laplacian(d: int, N: int) -> np.ndarray:
+    """N^2 D^N as a dense matrix on the flattened interior."""
+    n = N - 1
+    A = N**2 * (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+                + np.diag(np.ones(n - 1), -1))
+    if d == 1:
+        return A
+    eye = np.eye(n)
+    return np.kron(A, eye) + np.kron(eye, A)
 
 
-def check_semigroup_law() -> CheckResult:
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for grid in (Grid(1, 8), Grid(1, 64), Grid(2, 6)):
-        op = HeatOperator(grid)
-        for _ in range(5):
-            v = rng.standard_normal(grid.shape)
-            s, t = rng.uniform(0.01, 1.0, size=2)
-            a = HeatFlow(op, s).heat(HeatFlow(op, t).heat(v))
-            b = HeatFlow(op, s + t).heat(v)
-            scale = max(np.abs(b).max(), 1e-300)
-            worst = max(worst, np.abs(a - b).max() / scale)
-    return _result("semigroup law e^sA e^tA = e^(s+t)A", worst, 1e-10)
+def dense_semigroup(A: np.ndarray, tau: float) -> np.ndarray:
+    """expm(tau A) with its roundoff-negative entries set to zero."""
+    E = scipy.linalg.expm(tau * A)
+    return np.where(E < 0.0, 0.0, E)
 
 
-def check_kernel_positivity() -> CheckResult:
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for grid in (Grid(1, 16), Grid(1, 256), Grid(2, 8)):
-        op = HeatOperator(grid)
-        for _ in range(10):
-            v = rng.uniform(0.0, 2.0, grid.shape)
-            tau = float(rng.uniform(1e-4, 2.0))
-            out = HeatFlow(op, tau).heat(v)
-            worst = min(worst, out.min())
-    return _result("semigroup positivity on nonnegative fields", -worst, 0.0)
+class DenseSteps:
+    """One step of each integrator on a batch (B, n) of flattened fields."""
+
+    def __init__(self, A, nl, tau):
+        self.A, self.nl, self.tau = A, nl, tau
+        self.E = dense_semigroup(A, tau)
+        self.Sinv = np.linalg.inv(np.eye(len(A)) - tau * A)
+
+    def __call__(self, kind, U, db):
+        db = db[:, None]
+        if kind is LT:
+            F = self.nl.f(U)
+            arg = np.minimum(F * db - 0.5 * self.tau * F * F, EXP_ARG_MAX)
+            return (U * np.exp(arg)) @ self.E.T
+        if kind is EM:
+            return U + self.tau * (U @ self.A.T) + self.nl.g(U) * db
+        if kind is SEM:
+            return (U + self.nl.g(U) * db) @ self.Sinv.T
+        return (U + self.nl.g(U) * db) @ self.E.T
 
 
-def check_contraction() -> CheckResult:
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for grid in (Grid(1, 32), Grid(2, 8)):
-        op = HeatOperator(grid)
-        for _ in range(10):
-            v = rng.standard_normal(grid.shape)
-            tau = float(rng.uniform(1e-4, 2.0))
-            growth = np.abs(HeatFlow(op, tau).heat(v)).max() - np.abs(v).max()
-            worst = max(worst, growth)
-    return _result("semigroup sup-norm contraction", worst, 1e-13)
+def initial_batch(cfg) -> np.ndarray:
+    u0 = sample_initial(sine_initial, Grid(cfg.d, cfg.N)).reshape(-1)
+    return np.tile(u0, (cfg.samples, 1))
 
 
-def check_spectral_vs_dense_expm() -> CheckResult:
-    import scipy.linalg
-
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for grid in [Grid(1, N) for N in range(2, 9)] + [Grid(2, N) for N in (2, 3, 5, 8)]:
-        op = HeatOperator(grid)
-        tau = float(rng.uniform(0.01, 1.0))
-        E = scipy.linalg.expm(tau * op.dense_matrix())
-        v = rng.standard_normal(grid.n_interior)
-        spectral = HeatFlow(op, tau).heat(v.reshape(grid.shape)).reshape(-1)
-        worst = max(worst, np.abs(spectral - E @ v).max())
-    return _result("spectral semigroup vs dense matrix exponential (N <= 8)", worst, 1e-10)
-
-
-def check_implicit_residual() -> CheckResult:
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for grid in (Grid(1, 8), Grid(1, 128), Grid(2, 8)):
-        op = HeatOperator(grid)
-        for _ in range(5):
-            b = rng.standard_normal(grid.shape)
-            tau = float(rng.uniform(1e-3, 1.0))
-            x = HeatFlow(op, tau).solve(b)
-            resid = x - tau * op.laplacian_array(x) - b
-            worst = max(worst, np.abs(resid).max() / max(np.abs(b).max(), 1e-300))
-    return _result("implicit solve residual", worst, 1e-12)
+def dense_census(cfg: CensusConfig) -> dict:
+    """(integrator, g) -> (positive, diverged) over cfg.samples paths."""
+    level = path_level(cfg.T, cfg.level)
+    incr = sample_increment_batch(cfg.T, level, cfg.master_seed, range(cfg.samples))
+    A = dense_laplacian(cfg.d, cfg.N)
+    counts = {}
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for g in cfg.g_names:
+            steps = DenseSteps(A, from_name(g, cfg.lam), cfg.tau)
+            for kind in cfg.integrators:
+                U = initial_batch(cfg)
+                low = U.min(axis=1)
+                finite = np.ones(cfg.samples, dtype=bool)
+                for m in range(incr.shape[1]):
+                    U = steps(kind, U, incr[:, m])
+                    low = np.minimum(low, U.min(axis=1))
+                    finite &= np.isfinite(U).all(axis=1)
+                positive = finite & (low >= 0.0)
+                counts[kind.value, g] = (int(positive.sum()), int((~finite).sum()))
+    return counts
 
 
-def check_brownian_coarsening() -> CheckResult:
-    path = sample_path(T=1.0, level=12, master_seed=7, sample_index=3)
-    again = sample_path(T=1.0, level=12, master_seed=7, sample_index=3)
-    if not np.array_equal(path, again):
-        return CheckResult("Brownian coarsening consistency", False, "resampling not bit-identical")
-    if not np.array_equal(coarsen_increments(path, 12, 12), path):
-        return CheckResult("Brownian coarsening consistency", False, "identity coarsening differs")
-    pairs = path.reshape(-1, 2)
-    if not np.array_equal(coarsen_increments(path, 12, 11), pairs[:, 0] + pairs[:, 1]):
-        return CheckResult("Brownian coarsening consistency", False, "pair sums differ")
-    fine_partial = np.cumsum(path)
-    worst = 0.0
-    for j in (4, 7, 10):
-        coarse = coarsen_increments(path, 12, j)
-        block = 2 ** (12 - j)
-        dev = np.abs(np.cumsum(coarse) - fine_partial[block - 1 :: block])
-        worst = max(worst, float(dev.max()))
-    return _result("Brownian coarsening consistency", worst, 1e-12)
+def dense_checkpoints(steps, kind, U, incr, stride):
+    """The fields at every stride-th step, the initial one included, and
+    the samples finite at every checkpoint after it."""
+    cps = [U]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for m in range(incr.shape[1]):
+            U = steps(kind, U, incr[:, m])
+            if (m + 1) % stride == 0:
+                cps.append(U)
+    cps = np.stack(cps, axis=1)
+    return cps, np.isfinite(cps[:, 1:]).all(axis=(1, 2))
+
+
+def dense_study(cfg: ConvergenceConfig) -> dict:
+    """(integrator, level) -> sup-over-(time, space) RMS error against LT
+    at cfg.ref_level on the same paths."""
+    fine = path_level(cfg.T, cfg.ref_level)
+    incr = sample_increment_batch(cfg.T, fine, cfg.master_seed, range(cfg.samples))
+    A = dense_laplacian(cfg.d, cfg.N)
+    nl = from_name(cfg.g_name, cfg.lam)
+    M0 = 2 ** path_level(cfg.T, cfg.levels[0])
+    ref, ref_finite = dense_checkpoints(DenseSteps(A, nl, 2.0**-cfg.ref_level), LT,
+                                        initial_batch(cfg), incr, incr.shape[1] // M0)
+    errors = {}
+    for j in cfg.levels:
+        incr_j = coarsen_increments(incr, fine, path_level(cfg.T, j))
+        steps = DenseSteps(A, nl, 2.0**-j)
+        for kind in cfg.integrators:
+            cps, finite = dense_checkpoints(steps, kind, initial_batch(cfg), incr_j,
+                                            incr_j.shape[1] // M0)
+            ok = finite & ref_finite
+            diff = cps[ok] - ref[ok]
+            sq = np.sum(diff * diff, axis=0)
+            errors[kind.value, j] = math.sqrt(float(sq.max()) / ok.sum())
+    return errors
+
+
+STUDY = dict(T=0.5, levels=(2, 3, 4, 5), ref_level=9, samples=100, master_seed=42, lam=1.0)
+CENSUS = dict(samples=100, master_seed=42)
+
+
+def check_study(d: int, N: int) -> CheckResult:
+    """mean_square_error_study against dense_study at STUDY."""
+    name = f"study vs dense oracle, {d}d N = {N}"
+    tol = 1e-10
+    cfg = ConvergenceConfig(d=d, N=N, **STUDY)
+    got = {(row[0], row[5]): row[7] for row in mean_square_error_study(cfg).rows}
+    want = dense_study(cfg)
+    if got.keys() != want.keys():
+        return CheckResult(name, False, f"rows {sorted(got)} against {sorted(want)}")
+    # NaN propagates through max and fails the comparison
+    worst = float(np.max([abs(got[key] - e) / e for key, e in want.items()]))
+    detail = f"max relative deviation {worst:.3e} (tol {tol:.0e})"
+    return CheckResult(name, bool(worst <= tol), detail)
+
+
+def check_census(d: int, N: int) -> CheckResult:
+    """positivity_census against dense_census at CENSUS, counts exact."""
+    name = f"census vs dense oracle, {d}d N = {N}"
+    cfg = CensusConfig(d=d, N=N, **CENSUS)
+    got = {(row[0], row[1]): (row[7], row[8]) for row in positivity_census(cfg).rows}
+    want = dense_census(cfg)
+    differ = sorted(key for key in want.keys() | got.keys() if got.get(key) != want.get(key))
+    if differ:
+        return CheckResult(name, False, f"counts differ at {differ}")
+    return CheckResult(name, True, f"{len(want)} (integrator, g) counts equal")
 
 
 # hand-coded (g, f) per census g; check_scalar_oracle fails on a missing one
@@ -144,9 +204,8 @@ def check_scalar_oracle() -> CheckResult:
     compare against formulas written directly from the step definitions."""
     name = "scalar (N=2) one-step oracle, all integrators"
     rng = np.random.default_rng(106)
-    grid = Grid(1, 2)
-    op = HeatOperator(grid)
-    tau, lam = 0.25, 2.5
+    op = HeatOperator(Grid(1, 2))
+    tau, lam, tol = 0.25, 2.5, 1e-13
     worst = 0.0
     for g_name in CENSUS_G:
         if g_name not in _SCALAR_G:
@@ -166,87 +225,13 @@ def check_scalar_oracle() -> CheckResult:
             }
             for kind, ref in expect.items():
                 dev = abs(float(step(kind, ctx, fld, db)[0]) - ref) / max(1.0, abs(ref))
-                worst = max(worst, dev)
-    return _result(name, worst, 1e-13)
-
-
-def check_ratio_consistency() -> CheckResult:
-    vs = np.concatenate(
-        [
-            np.linspace(-10, 10, 2001),
-            np.geomspace(1e-9, 1.0, 200),
-            -np.geomspace(1e-9, 0.99, 200),
-        ]
-    )
-    vs = vs[np.abs(vs) >= 1e-10]
-    worst = 0.0
-    for name in CLI_NAMES:
-        nl = from_name(name, 2.5)
-        g = nl.g(vs)
-        dev = np.abs(vs * nl.f(vs) - g) / np.maximum(np.abs(g), 1e-300)
-        dev = dev[np.abs(g) > 0]
-        if dev.size:
-            worst = max(worst, float(dev.max()))
-    return _result("v * f(v) = g(v) consistency", worst, 1e-12)
-
-
-def check_zero_reductions() -> CheckResult:
-    rng = np.random.default_rng(107)
-    for grid in (Grid(1, 16), Grid(2, 5)):
-        op = HeatOperator(grid)
-        ctx = StepContext(op, zero(), tau=0.125)
-        u = rng.uniform(0.0, 1.0, grid.shape)
-        db = 0.7
-        heat = HeatFlow(op, 0.125).heat(u)
-        if not np.array_equal(step(IntegratorKind.LT, ctx, u, db), heat):
-            return CheckResult("zero-noise reductions", False, "LT != heat flow for g = 0")
-        if not np.array_equal(step(IntegratorKind.SEXP, ctx, u, db), heat):
-            return CheckResult("zero-noise reductions", False, "SEXP != heat flow for g = 0")
-        euler = u + 0.125 * op.laplacian_array(u)
-        if not np.array_equal(step(IntegratorKind.EM, ctx, u, db), euler):
-            return CheckResult("zero-noise reductions", False, "EM != explicit Euler for g = 0")
-        implicit = HeatFlow(op, 0.125).solve(u)
-        if not np.array_equal(step(IntegratorKind.SEM, ctx, u, db), implicit):
-            return CheckResult("zero-noise reductions", False, "SEM != implicit Euler for g = 0")
-        # zero field is a fixed point of every integrator (g(0) = 0)
-        z = np.zeros(grid.shape)
-        for name, ctx2 in (("zero", ctx), ("rational", StepContext(op, from_name("rational", 2.5), 0.125))):
-            for kind in IntegratorKind:
-                if np.any(step(kind, ctx2, z, db) != 0.0):
-                    return CheckResult(
-                        "zero-noise reductions", False, f"0 not fixed under {kind.value} ({name})"
-                    )
-    return CheckResult("zero-noise reductions", True, "exact reductions and zero fixed point")
-
-
-def check_lt_positivity_paths() -> CheckResult:
-    """LT keeps every iterate nonnegative for any tau and mesh, no CFL."""
-    rng = np.random.default_rng(108)
-    worst = 0.0
-    for grid, tau in ((Grid(1, 64), 0.5), (Grid(1, 16), 4.0), (Grid(2, 8), 1.0)):
-        op = HeatOperator(grid)
-        for name in CENSUS_G:
-            ctx = StepContext(op, from_name(name, 2.5), tau)
-            u0 = rng.uniform(0.0, 1.5, grid.shape)
-            incr = rng.normal(0.0, math.sqrt(tau), 16)
-            rec = run_path(IntegratorKind.LT, ctx, u0, incr)
-            worst = min(worst, rec.running_min)
-    return _result("LT path positivity (no step-size restriction)", -worst, 0.0)
-
-
-ALL_CHECKS = (
-    check_semigroup_law,
-    check_kernel_positivity,
-    check_contraction,
-    check_spectral_vs_dense_expm,
-    check_implicit_residual,
-    check_brownian_coarsening,
-    check_scalar_oracle,
-    check_ratio_consistency,
-    check_zero_reductions,
-    check_lt_positivity_paths,
-)
+                worst = np.maximum(worst, dev)  # max() would drop a NaN dev
+    return CheckResult(name, bool(worst <= tol), f"max deviation {worst:.3e} (tol {tol:.0e})")
 
 
 def run_all() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    """The study and census oracles at 1d N = 16 and 64 and 2d N = 8, then
+    the scalar oracle."""
+    sizes = ((1, 16), (1, 64), (2, 8))
+    return ([check_study(d, N) for d, N in sizes] + [check_census(d, N) for d, N in sizes]
+            + [check_scalar_oracle()])

@@ -1,5 +1,5 @@
 """Acceptance suite: the positivity censuses and convergence studies at
-their full reference parameters, plus the fast invariant suite.
+their full reference parameters, plus the selftest's dense oracle.
 
 Each check prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 failure report). The Monte Carlo studies run at full scale, so this module
@@ -183,7 +183,7 @@ def test_07b_2d_linear_lt_flat():
     assert ok
 
 
-# -- criterion 8: invariant suite -------------------------------------------------
+# -- criterion 8: the selftest ----------------------------------------------------
 
 
 def test_08_selftest_suite():

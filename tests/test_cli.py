@@ -1,6 +1,8 @@
+import math
 import re
 from dataclasses import asdict, dataclass
 
+import numpy as np
 import pytest
 
 from spde_lab import cli, experiments
@@ -292,6 +294,26 @@ def test_selftest_fails_for_a_census_g_without_a_scalar_oracle(monkeypatch):
     result = selftest.check_scalar_oracle()
     assert not result.passed
     assert result.detail == "no scalar oracle for g = log1p"
+
+
+def test_scalar_oracle_fails_on_a_nan_step(monkeypatch):
+    from spde_lab import selftest
+
+    monkeypatch.setattr(selftest, "step", lambda kind, ctx, u, db: np.array([np.nan]))
+    result = selftest.check_scalar_oracle()
+    assert not result.passed
+    assert result.detail == "max deviation nan (tol 1e-13)"
+
+
+def test_selftest_fails_on_a_perturbed_semigroup(monkeypatch, capsys):
+    from spde_lab.heat_operator import HeatFlow
+
+    exact = HeatFlow.semigroup_mult.func
+    # exp(tau mu + 1e-8): the heat kernel off by 1e-8 in its exponent
+    monkeypatch.setattr(HeatFlow, "semigroup_mult",
+                        property(lambda flow: exact(flow) * math.exp(1e-8)))
+    assert main(["selftest"]) == 2
+    assert re.search(r"^FAIL  ", capsys.readouterr().out, re.M)
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf"])

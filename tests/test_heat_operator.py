@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spde_lab.heat_operator import HeatFlow, HeatOperator, PositivityDiagnosticsError
 from spde_lab.integrators import exact_linear_array
 from spde_lab.mesh import Grid
+from spde_lab.selftest import dense_laplacian, dense_semigroup
 
 
 def sup(v):
@@ -57,7 +58,7 @@ def test_operator_rejects_a_field_of_another_grid():
 @pytest.mark.parametrize("grid", [Grid(1, 6), Grid(2, 5)])
 def test_laplacian_matches_dense_on_basis(grid):
     op = HeatOperator(grid)
-    A = op.dense_matrix()
+    A = dense_laplacian(grid.d, grid.N)
     for j in range(grid.n_interior):
         e = np.zeros(grid.n_interior)
         e[j] = 1.0
@@ -79,18 +80,16 @@ def test_eigenvalues_negative_and_limit():
     assert op.eigenvalues.max() == pytest.approx(-np.pi**2, abs=1e-3)
 
 
-# -- dense matrices ----------------------------------------------------------
+# -- the selftest's dense matrices ------------------------------------------
 
 
 def test_dense_matrix_n4():
-    op = HeatOperator(Grid(1, 4))
     expected = 16.0 * np.array([[-2.0, 1, 0], [1, -2, 1], [0, 1, -2]])
-    assert np.array_equal(op.dense_matrix(), expected)
+    assert np.array_equal(dense_laplacian(1, 4), expected)
 
 
 def test_dense_matrix_2d_kronecker():
-    op = HeatOperator(Grid(2, 3))
-    A = op.dense_matrix()
+    A = dense_laplacian(2, 3)
     assert A.shape == (4, 4)
     # each interior point of the 2x2 grid has two neighbors, coefficient N^2
     off = A - np.diag(np.diag(A))
@@ -98,20 +97,15 @@ def test_dense_matrix_2d_kronecker():
     assert np.all(off.sum(axis=1) <= 2 * 16.0)
 
 
-def test_dense_matrix_cap():
-    with pytest.raises(ValueError, match="cap"):
-        HeatOperator(Grid(2, 100)).dense_matrix()
-
-
 def test_dense_semigroup_nonnegative_substochastic():
     # the raw matrix exponential is already entrywise nonnegative up to
-    # roundoff and sub-stochastic; the diagnostic path only zeroes noise
+    # roundoff and sub-stochastic; the oracle only zeroes noise
     for grid in (Grid(1, 8), Grid(2, 5)):
-        op = HeatOperator(grid)
-        raw = scipy.linalg.expm(0.01 * op.dense_matrix())
+        A = dense_laplacian(grid.d, grid.N)
+        raw = scipy.linalg.expm(0.01 * A)
         assert raw.min() >= -1e-12
         assert np.all(raw.sum(axis=1) <= 1.0 + 1e-12)
-        E = op.dense_semigroup(0.01)
+        E = dense_semigroup(A, 0.01)
         assert np.all(E >= 0.0)
         assert np.max(np.abs(E - raw)) <= 1e-12
 
@@ -121,7 +115,7 @@ def test_dense_semigroup_matches_spectral():
     for grid in (Grid(1, 16), Grid(2, 6)):
         op = HeatOperator(grid)
         tau = 0.173
-        E = op.dense_semigroup(tau)
+        E = dense_semigroup(dense_laplacian(grid.d, grid.N), tau)
         v = rand_field(grid, rng)
         got = HeatFlow(op, tau).heat(v).reshape(-1)
         assert np.allclose(E @ v.reshape(-1), got, atol=1e-10)
@@ -165,7 +159,7 @@ def test_semigroup_vs_dense_expm(grid):
     rng = np.random.default_rng(7)
     op = HeatOperator(grid)
     for tau in (0.003, 0.21, 1.0):
-        E = scipy.linalg.expm(tau * op.dense_matrix())
+        E = scipy.linalg.expm(tau * dense_laplacian(grid.d, grid.N))
         v = rand_field(grid, rng)
         got = HeatFlow(op, tau).heat(v).reshape(-1)
         assert np.allclose(got, E @ v.reshape(-1), atol=1e-10)

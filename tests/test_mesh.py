@@ -77,6 +77,18 @@ def test_sample_custom_zero():
     assert np.all(f == 0.0)
 
 
+@pytest.mark.parametrize("u0,grid,returned,closed", [
+    (lambda x: 0.0, Grid(1, 8), (), (9,)),
+    (lambda x, y: 0.0, Grid(2, 4), (), (5, 5)),
+    (lambda x: [0.0, 0.0], Grid(1, 8), (2,), (9,)),
+], ids=["scalar-1d", "scalar-2d", "list-of-2"])
+def test_sample_names_the_shape_u0_returned(u0, grid, returned, closed):
+    with pytest.raises(ValueError, match=re.escape(
+            f"u0 returned shape {returned}, which does not match the closed grid's "
+            f"shape {closed}")):
+        sample_initial(u0, grid)
+
+
 def test_sample_rejects_nonvanishing_boundary():
     with pytest.raises(ValueError, match="boundary"):
         sample_initial(lambda x: x + 1.0, Grid(1, 8))

@@ -1,6 +1,8 @@
 """Whole CLI processes: reports byte-identical at every --jobs, with
-OpenBLAS threads on and off, and scipy loaded only by runs that use it."""
+OpenBLAS threads on and off, within 1e-10 relative across CPU kernels, and
+scipy loaded only by runs that use it."""
 
+import functools
 import json
 import os
 import subprocess
@@ -44,6 +46,86 @@ def test_reports_byte_identical_across_jobs_and_blas_threads(tmp_path, name):
     first = reports[None, "1"]
     assert all(data == first for data in reports.values()), [
         key for key, data in reports.items() if data != first]
+
+
+# numpy's dispatch targets that stand for AVX-512
+NUMPY_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# each setting stands for a CPU without AVX-512, and needs the features it
+# names on this one: OpenBLAS's AVX2 kernels, or numpy's dispatch without
+# its AVX-512 targets (numpy's exp and sin)
+CPU_SETTINGS = {
+    "native": ({}, ()),
+    "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, ("AVX2", "FMA3")),
+    "numpy-no-avx512": ({"NPY_DISABLE_CPU_FEATURES": " ".join(NUMPY_AVX512)}, NUMPY_AVX512),
+}
+ACROSS_CPUS = {
+    "study-1d": INVOCATIONS["study-1d"],
+    # the matmul transforms
+    "study-1d-64": ["convergence", "--N", "64", "--levels", "3..5", "--ref-level", "8",
+                    "--lambda", "2", "--samples", "200", "--seed", "11"],
+}
+
+
+def _lacking(setting):
+    """The features a setting needs that this CPU lacks; numpy also refuses
+    to start when told to disable a target it does not dispatch."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+
+    env, needs = CPU_SETTINGS[setting]
+    disabled = env.get("NPY_DISABLE_CPU_FEATURES", "").split()
+    return sorted({f for f in needs if not umath.__cpu_features__.get(f)}
+                  | {f for f in disabled if f not in umath.__cpu_dispatch__})
+
+
+@pytest.fixture(scope="module")
+def report_at(tmp_path_factory):
+    """report_at(name, setting, jobs): the report's bytes, each run once."""
+    out_dir = tmp_path_factory.mktemp("cpu-settings")
+
+    @functools.cache
+    def run(name, setting, jobs):
+        env = _env(None)
+        for key in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
+            env.pop(key, None)
+        env.update(CPU_SETTINGS[setting][0])
+        out = out_dir / f"{name}-{setting}-{jobs}.csv"
+        subprocess.run([sys.executable, "-m", "spde_lab", *ACROSS_CPUS[name],
+                        "--jobs", jobs, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        return out.read_bytes()
+
+    return run
+
+
+def _numbers_apart(report):
+    """The report's lines with the number ending each one (after its last
+    ',' or '=') cut off, and those numbers."""
+    lines, numbers = [], []
+    for line in report.decode().splitlines():
+        cut = max(line.rfind(","), line.rfind("=")) + 1
+        try:
+            numbers.append(float(line[cut:]))
+            lines.append(line[:cut])
+        except ValueError:
+            lines.append(line)
+    return lines, numbers
+
+
+@pytest.mark.parametrize("setting", sorted(CPU_SETTINGS))
+@pytest.mark.parametrize("name", sorted(ACROSS_CPUS))
+def test_reports_agree_across_cpu_kernels(report_at, name, setting):
+    lacking = _lacking(setting)
+    if lacking:
+        pytest.skip(f"this CPU or numpy build lacks {', '.join(lacking)}")
+    data = report_at(name, setting, "1")
+    assert report_at(name, setting, "2") == data
+    lines, numbers = _numbers_apart(data)
+    native_lines, native_numbers = _numbers_apart(report_at(name, "native", "1"))
+    assert lines == native_lines
+    assert numbers == pytest.approx(native_numbers, rel=1e-10, abs=0)
 
 
 IMPORTS = """
