@@ -7,9 +7,9 @@ underlying path by dyadic coarsening and measure sup-over-(time, space)
 root-mean-square errors against a fine LT reference or, for linear g, the
 exact semi-discrete solution of integrators.exact_linear_array), a
 mesh-independence study (the same study repeated over several grids), and
-a second-moment study, which is the same coupled study of LT measured
-against the zero field. One block loop, _coupled_sums, serves both
-coupled studies.
+a second-moment study, the coupled run of LT summing the squares of its
+fields. One block loop, _coupled_sums, serves every driver: the census is
+its one-level case.
 
 All drivers are deterministic functions of (config, master seed): samples
 are generated counter-style, processed in fixed-size blocks, and reduced
@@ -107,16 +107,19 @@ def _check_number(name: str, value) -> None:
 
 
 def _check_shared(cfg: "CensusConfig | ConvergenceConfig") -> None:
-    Grid(cfg.d, cfg.N)  # validates d and N
+    # each count is stored as an int: a numpy integer multiplies in fixed width
+    for name in ("d", "N"):
+        object.__setattr__(cfg, name, check_int(name, getattr(cfg, name)))
+    Grid(cfg.d, cfg.N)  # validates their range
     _check_number("T", cfg.T)
     _check_number("lambda", cfg.lam)
     object.__setattr__(cfg, "integrators", tuple(cfg.integrators))
     if not cfg.integrators:
         raise ValueError("need at least one integrator")
-    check_int("samples", cfg.samples)
+    object.__setattr__(cfg, "samples", check_int("samples", cfg.samples))
     if cfg.samples < 1:
         raise ValueError("need at least one sample")
-    check_int("seed", cfg.master_seed)
+    object.__setattr__(cfg, "master_seed", check_int("seed", cfg.master_seed))
     check_key("seed", cfg.master_seed)
     for kind in cfg.integrators:
         if not isinstance(kind, IntegratorKind):
@@ -193,10 +196,9 @@ class ConvergenceConfig:
 
     def __post_init__(self):
         _check_shared(self)
-        for j in self.levels:
-            check_int("levels", j)
-        check_int("ref_level", self.ref_level)
-        object.__setattr__(self, "levels", tuple(sorted(self.levels)))
+        levels = tuple(sorted(check_int("levels", j) for j in self.levels))
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "ref_level", check_int("ref_level", self.ref_level))
         _no_duplicates("levels", self.levels)
         if not self.levels:
             raise ValueError("need at least one step level")
@@ -319,7 +321,7 @@ def summarize(report: ExperimentReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# block scheduling
+# the block loop: scheduling, memory guard, reducers
 
 
 def _blocks(samples: int) -> list[range]:
@@ -395,7 +397,7 @@ def _check_memory(cfg: CensusConfig | ConvergenceConfig, jobs: int, fine_level: 
     machine has, before any of them is allocated. The estimate is a lower
     bound: per block of B samples, the increments (B x 2^fine_level), two
     fields (a step's input and output) and, for the studies, two checkpoint
-    arrays (a run's and the one it is compared with)."""
+    arrays (a run's, and its reference's or, without one, its finite rows)."""
     in_flight = _workers(cfg.samples, jobs)
     B = min(cfg.samples, BLOCK_SAMPLES)
     n = (cfg.N - 1) ** cfg.d
@@ -419,67 +421,6 @@ def _setup(cfg: CensusConfig | ConvergenceConfig) -> tuple[HeatOperator, np.ndar
     return HeatOperator(grid), sample_initial(sine_initial, grid)
 
 
-# ---------------------------------------------------------------------------
-# positivity census
-
-
-def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
-    """Count paths whose every field (all steps, all grid points) stays
-    nonnegative, per g and integrator.
-
-    Each block draws its increments once, and every g and integrator
-    consumes them. Rows follow cfg.g_names in order; an integrator's
-    divergences are summed over the g."""
-    t_start = time.perf_counter()
-    level = path_level(cfg.T, cfg.level)
-    _check_memory(cfg, jobs, level)
-    op, u0 = _setup(cfg)
-    contexts = [StepContext(op, from_name(g, cfg.lam), cfg.tau) for g in cfg.g_names]
-    axes = tuple(range(1, 1 + cfg.d))
-
-    def run_block(block: range) -> dict[tuple[str, str, IntegratorKind], int]:
-        incr = sample_increment_batch(cfg.T, level, cfg.master_seed, block)
-        start = np.broadcast_to(u0, (len(block),) + u0.shape)  # read-only, shared by every run
-        out = {}
-        for g, ctx in zip(cfg.g_names, contexts):
-            for kind in cfg.integrators:
-                running_min = np.full(len(block), np.inf)
-                finite = np.ones(len(block), dtype=bool)
-
-                def track(m: int, U: np.ndarray) -> None:
-                    np.minimum(running_min, np.min(U, axis=axes), out=running_min)
-                    np.logical_and(finite, np.isfinite(U).all(axis=axes), out=finite)
-
-                evolve(ctx, kind, start, incr, 1, track)
-                positive = finite & (running_min >= 0.0)
-                out["positive", g, kind] = int(positive.sum())
-                out["diverged", g, kind] = int((~finite).sum())
-        return out
-
-    counts = _map_blocks(cfg.samples, jobs, run_block)
-    rows = []
-    diverged = {}
-    for g in cfg.g_names:
-        for kind in cfg.integrators:
-            pos, div = counts["positive", g, kind], counts["diverged", g, kind]
-            rows.append((kind.value, g, cfg.lam, cfg.d, cfg.N, cfg.tau, cfg.samples, pos, div))
-            if div:
-                diverged[kind.value] = diverged.get(kind.value, 0) + div
-    return ExperimentReport(
-        kind="census",
-        columns=CENSUS_COLUMNS,
-        rows=rows,
-        config_echo={**_echo(cfg), "g": "+".join(sorted(cfg.g_names))},
-        diverged=diverged,
-        master_seed=cfg.master_seed,
-        wall_clock=time.perf_counter() - t_start,
-    )
-
-
-# ---------------------------------------------------------------------------
-# coupled-level studies: mean-square convergence and second moments
-
-
 def _run_checkpointed(
     ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarray, stride: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -499,65 +440,118 @@ def _run_checkpointed(
     return cps, finite
 
 
-def _coupled_sums(
-    cfg: ConvergenceConfig, jobs: int, fine_level: int, kinds: Sequence[IntegratorKind],
-    reference: str,
-) -> dict:
-    """The coupled-level Monte Carlo run behind both studies.
+def _count_positive(ctx, kind, start, incr, stride, ref) -> dict:
+    """The census's reducer (see _coupled_sums): count the samples whose
+    every field, at every step, stayed nonnegative ("positive") and those
+    that left the finite numbers ("diverged")."""
+    axes = tuple(range(1, start.ndim))
+    running_min = np.full(len(start), np.inf)
+    finite = np.ones(len(start), dtype=bool)
 
-    Each sample draws one Brownian path at step level ``fine_level``; every
-    level in cfg.levels runs each of ``kinds`` on a coarsening of it, and
-    its fields at the coarsest level's checkpoint times are compared with
-    ``reference``: "lt" (LT at ``fine_level`` on the same path),
-    "exact_linear" (the exact solution for linear g) or "zero" (the zero
-    field). Returns, per (kind, level), "sq": the squared distances summed
-    over the samples where both fields stayed finite, shape
-    (checkpoints, *grid), and "used": the number of those samples.
+    def track(m: int, U: np.ndarray) -> None:
+        np.minimum(running_min, np.min(U, axis=axes), out=running_min)
+        np.logical_and(finite, np.isfinite(U).all(axis=axes), out=finite)
+
+    evolve(ctx, kind, start, incr, 1, track)
+    positive = finite & (running_min >= 0.0)
+    return {"positive": int(positive.sum()), "diverged": int((~finite).sum())}
+
+
+def _squared_distances(ctx, kind, start, incr, stride, ref) -> dict:
+    """The studies' reducer (see _coupled_sums): over the samples where the
+    run and ``ref`` stayed finite ("used"), sum the squared distances of the
+    run's checkpoints to ref's, or without a ref their squares ("sq")."""
+    cps, ok = _run_checkpointed(ctx, kind, start, incr, stride)
+    if ref is not None:
+        ok &= ref[1]
+    diff = cps[ok] if ref is None else cps[ok] - ref[0][ok]
+    return {"sq": np.sum(diff * diff, axis=0), "used": int(ok.sum())}
+
+
+def _coupled_sums(
+    cfg: CensusConfig | ConvergenceConfig, jobs: int, fine_level: int, g_names: Sequence[str],
+    levels: Sequence[int], reduce, reference: str | None = None,
+) -> dict:
+    """The Monte Carlo block loop of every driver. Returns the sums of
+    ``reduce`` keyed (name, g, kind, level), added up in block order.
+
+    Each block draws its samples' Brownian paths once, at step level
+    ``fine_level``, and starts every run from one read-only batch of u0.
+    Per level in ``levels`` it coarsens the paths once (the identity at
+    fine_level), and for each g in g_names and kind in cfg.integrators
+    ``reduce(ctx, kind, start, incr, stride, ref)`` steps the batch and
+    returns its sums by name. A checkpoint falls every ``stride`` steps, at
+    the coarsest level's step times. ``ref`` is None, or the ``reference``
+    fields at the checkpoints and their finite flags: "lt" is LT at
+    fine_level on the same paths, "exact_linear" the exact linear solution.
     """
     path_fine = path_level(cfg.T, fine_level)
     _check_memory(cfg, jobs, path_fine)
     op, u0 = _setup(cfg)
-    nl = from_name(cfg.g_name, cfg.lam)
-    M0 = 2 ** path_level(cfg.T, cfg.levels[0])  # checkpoint intervals
+    M0 = 2 ** path_level(cfg.T, min(levels))  # checkpoint intervals
     cp_times = np.arange(M0 + 1) * (cfg.T / M0)
-    contexts = {j: StepContext(op, nl, tau_of_level(j)) for j in cfg.levels}
-    if reference == "lt":
-        ref_ctx = StepContext(op, nl, tau_of_level(fine_level))
+    nls = {g: from_name(g, cfg.lam) for g in g_names}
+    contexts = {(g, j): StepContext(op, nls[g], tau_of_level(j)) for j in levels for g in g_names}
+    if reference == "lt":  # a study, which has one g
+        ref_ctx = StepContext(op, nls[cfg.g_name], tau_of_level(fine_level))
 
-    def run_block(block: range):
+    def run_block(block: range) -> dict:
         incr_fine = sample_increment_batch(cfg.T, path_fine, cfg.master_seed, block)
         B = len(block)
         start = np.broadcast_to(u0, (B,) + u0.shape)  # read-only, shared by every run
         stride = incr_fine.shape[1] // M0
-        ref_finite = np.ones(B, dtype=bool)
+        ref = None
         if reference == "lt":
-            ref_cp, ref_finite = _run_checkpointed(ref_ctx, IntegratorKind.LT, start, incr_fine,
-                                                   stride)
+            ref = _run_checkpointed(ref_ctx, IntegratorKind.LT, start, incr_fine, stride)
         elif reference == "exact_linear":
             betas = np.cumsum(incr_fine, axis=1)[:, stride - 1 :: stride]
             beta_cp = np.concatenate([np.zeros((B, 1)), betas], axis=1)
-            ref_cp = exact_linear_array(op, u0, cfg.lam, beta_cp, cp_times)
-        else:  # the zero field, broadcast over checkpoints and grid points
-            ref_cp = np.zeros((B,) + (1,) * (1 + cfg.d))
+            ref = exact_linear_array(op, u0, cfg.lam, beta_cp, cp_times), np.ones(B, dtype=bool)
 
         sums = {}
-        for j in cfg.levels:
-            incr_j = coarsen_increments(incr_fine, path_fine, path_level(cfg.T, j))
-            for kind in kinds:
-                cps, finite = _run_checkpointed(contexts[j], kind, start, incr_j,
-                                                incr_j.shape[1] // M0)
-                ok = finite & ref_finite
-                with np.errstate(over="ignore"):
-                    diff = cps[ok] - ref_cp[ok]
-                    sums["sq", kind, j] = np.sum(diff * diff, axis=0)
-                sums["used", kind, j] = int(ok.sum())
+        for j in levels:
+            incr = coarsen_increments(incr_fine, path_fine, path_level(cfg.T, j))
+            for g in g_names:
+                for kind in cfg.integrators:
+                    part = reduce(contexts[g, j], kind, start, incr, incr.shape[1] // M0, ref)
+                    sums.update(((name, g, kind, j), value) for name, value in part.items())
         return sums
 
-    # a finite field far from the reference squares (or sums) to inf: data,
-    # not a warning. The blocks set their own errstate; this one covers the
-    # block sums in _map_blocks, and forked workers inherit it.
+    # a finite field far from the reference squares (or sums) to inf: data, not
+    # a warning. This covers the reducers and block sums; forked workers inherit it.
     with np.errstate(over="ignore"):
         return _map_blocks(cfg.samples, jobs, run_block)
+
+
+# ---------------------------------------------------------------------------
+# positivity census
+
+
+def positivity_census(cfg: CensusConfig, jobs: int = 1) -> ExperimentReport:
+    """Count paths whose every field (all steps, all grid points) stays
+    nonnegative, per g and integrator.
+
+    The census is the one-level case of _coupled_sums: each block draws its
+    increments once, at cfg.tau, and every g and integrator consumes them.
+    Rows follow cfg.g_names in order; an integrator's divergences are
+    summed over the g."""
+    t_start = time.perf_counter()
+    counts = _coupled_sums(cfg, jobs, cfg.level, cfg.g_names, (cfg.level,), _count_positive)
+    rows, diverged = [], {}
+    for g in cfg.g_names:
+        for kind in cfg.integrators:
+            pos = counts["positive", g, kind, cfg.level]
+            div = counts["diverged", g, kind, cfg.level]
+            rows.append((kind.value, g, cfg.lam, cfg.d, cfg.N, cfg.tau, cfg.samples, pos, div))
+            if div:
+                diverged[kind.value] = diverged.get(kind.value, 0) + div
+    echo = {**_echo(cfg), "g": "+".join(sorted(cfg.g_names))}
+    return ExperimentReport("census", CENSUS_COLUMNS, rows, echo, diverged=diverged,
+                            master_seed=cfg.master_seed, wall_clock=time.perf_counter() - t_start)
+
+
+# ---------------------------------------------------------------------------
+# coupled-level studies: mean-square convergence and second moments
 
 
 def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> ExperimentReport:
@@ -569,22 +563,17 @@ def mean_square_error_study(cfg: ConvergenceConfig, jobs: int = 1) -> Experiment
     points of the root mean square is reported per (integrator, level).
     """
     t_start = time.perf_counter()
-    sums = _coupled_sums(cfg, jobs, cfg.ref_level, cfg.integrators, cfg.reference)
-    report = ExperimentReport(
-        kind="convergence",
-        columns=CONVERGENCE_COLUMNS,
-        rows=[],
-        config_echo=_echo(cfg),
-        master_seed=cfg.master_seed,
-    )
+    g = cfg.g_name
+    sums = _coupled_sums(cfg, jobs, cfg.ref_level, (g,), cfg.levels, _squared_distances,
+                         cfg.reference)
+    report = ExperimentReport("convergence", CONVERGENCE_COLUMNS, [], _echo(cfg),
+                              master_seed=cfg.master_seed)
     for kind in cfg.integrators:
         for j in cfg.levels:
-            total = sums["used", kind, j]
+            total = sums["used", g, kind, j]
             div = cfg.samples - total
-            err = math.sqrt(float(np.max(sums["sq", kind, j])) / total) if total else math.nan
-            report.rows.append(
-                (kind.value, cfg.g_name, cfg.lam, cfg.d, cfg.N, j, tau_of_level(j), err)
-            )
+            err = math.sqrt(float(np.max(sums["sq", g, kind, j])) / total) if total else math.nan
+            report.rows.append((kind.value, g, cfg.lam, cfg.d, cfg.N, j, tau_of_level(j), err))
             if div:
                 report.diverged[f"{kind.value}@{j}"] = div
     for name, errors in report.errors_by_integrator().items():
@@ -633,8 +622,8 @@ def mesh_independence_study(
     reference on the same mesh; a single N reduces to one study. Rows
     follow the meshes in order, and each mesh's slope and divergence keys
     carry its ``[N=<N>]``."""
-    _no_duplicates("N", N_values)
-    subs = [replace(cfg, N=int(N)) for N in N_values]
+    subs = [replace(cfg, N=N) for N in N_values]  # each N checked as the config checks it
+    _no_duplicates("N", (sub.N for sub in subs))
     if not subs:
         raise ValueError("need at least one N")
     for sub in subs:  # reject an oversized mesh before running the first
@@ -664,14 +653,15 @@ def mesh_independence_study(
 def moment_bound_study(cfg: ConvergenceConfig, jobs: int = 1) -> dict[int, np.ndarray]:
     """Second-moment profiles for the LT scheme on coupled Brownian paths.
 
-    The coupled study of LT against the zero field, E|u|^2 = E|u - 0|^2,
-    with paths drawn at the finest step level. Returns, per step level, the
-    array of sup over grid points of E|u_m(x)|^2 at the shared checkpoint
-    times (index 0 is the initial field); the overall sup is the max of a
-    profile."""
-    LT = IntegratorKind.LT
-    sums = _coupled_sums(cfg, jobs, max(cfg.levels), (LT,), "zero")
-    if any(sums["used", LT, j] < cfg.samples for j in cfg.levels):
+    The coupled run of LT alone, without a reference, so that it sums the
+    squares of the checkpoints, with paths drawn at the finest step level.
+    Returns, per step level, the array of sup over grid points of
+    E|u_m(x)|^2 at the shared checkpoint times (index 0 is the initial
+    field); the overall sup is the max of a profile."""
+    g, LT = cfg.g_name, IntegratorKind.LT
+    sums = _coupled_sums(replace(cfg, integrators=(LT,)), jobs, max(cfg.levels), (g,),
+                         cfg.levels, _squared_distances)
+    if any(sums["used", g, LT, j] < cfg.samples for j in cfg.levels):
         raise FloatingPointError("LT moment run produced non-finite values")
     space_axes = tuple(range(1, 1 + cfg.d))
-    return {j: np.max(sums["sq", LT, j], axis=space_axes) / cfg.samples for j in cfg.levels}
+    return {j: np.max(sums["sq", g, LT, j], axis=space_axes) / cfg.samples for j in cfg.levels}

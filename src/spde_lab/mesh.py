@@ -17,11 +17,12 @@ from typing import Callable
 import numpy as np
 
 
-def check_int(name: str, value) -> None:
-    """Raise ValueError unless value is an int or a numpy integer: a float,
-    even 64.0, and a bool are rejected."""
+def check_int(name: str, value) -> int:
+    """value as a Python int; raises ValueError unless value is an int or a
+    numpy integer: a float, even 64.0, and a bool are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} takes integers, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -174,8 +174,17 @@ def test_config_accepts_numpy_integer_counts():
     cfg = ConvergenceConfig(N=np.int64(16), samples=np.int32(3), levels=(np.int64(3), 4),
                             ref_level=np.int16(8))
     assert cfg.levels == (3, 4) and cfg.ref_level == 8
-    assert CensusConfig(d=np.int64(2), N=np.int64(8), samples=np.uint8(3),
-                        master_seed=np.uint64(2**64 - 1)).samples == 3
+    census = CensusConfig(d=np.int64(2), N=np.int64(8), samples=np.uint8(3),
+                          master_seed=np.uint64(2**64 - 1))
+    assert census.samples == 3
+    # stored as Python ints, which do not overflow in the memory guard's products
+    assert {type(v) for v in (cfg.N, cfg.samples, cfg.ref_level, *cfg.levels, census.d, census.N,
+                              census.samples, census.master_seed)} == {int}
+
+
+def test_study_config_reads_a_generator_of_levels_once():
+    # the check loop used to use it up, leaving no level to sort
+    assert ConvergenceConfig(levels=(j for j in (4, 3)), ref_level=8).levels == (3, 4)
 
 
 def test_mesh_study_checks_every_mesh_before_the_first_runs(eight_gb_machine):
@@ -199,6 +208,31 @@ def test_jobs_below_one_is_rejected_before_any_work(eight_gb_machine, run, jobs)
 def test_mesh_study_needs_at_least_one_mesh():
     with pytest.raises(ValueError, match="need at least one N"):
         mesh_independence_study(ConvergenceConfig(**SMALL_STUDY), [])
+
+
+@pytest.mark.parametrize("N_values,message", [
+    ([16.7], "N takes integers, got 16.7"),  # int() made it N = 16
+    (["16"], "N takes integers, got '16'"),
+    ([True, 16], "N takes integers, got True"),  # int() made it N = 1
+])
+def test_mesh_study_checks_each_N_as_the_config_does(eight_gb_machine, N_values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mesh_independence_study(ConvergenceConfig(**SMALL_STUDY), N_values)
+
+
+def test_mesh_study_reads_a_generator_of_meshes_once():
+    cfg = ConvergenceConfig(**{**SMALL_STUDY, "samples": 2})
+    got = mesh_independence_study(cfg, (N for N in (8, 16)))
+    assert got.rows == mesh_independence_study(cfg, [8, 16]).rows
+
+
+def test_numpy_integer_samples_run_without_a_warning():
+    # the guard's B x 8 overflowed a uint8 and warned on every run
+    cfg = CensusConfig(N=16, T=0.5, g_names=("linear",), samples=np.uint8(50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = positivity_census(cfg)
+    assert report.rows == positivity_census(replace(cfg, samples=50)).rows
 
 
 def test_census_lt_all_positive_small():
@@ -477,6 +511,30 @@ def test_census_over_all_g_equals_merged_single_g_reports(monkeypatch, four_cpu_
     assert combined.diverged == sum((Counter(single.diverged) for single in singles), Counter())
     assert combined.config_echo == {**singles[0].config_echo, "g": "+".join(sorted(CENSUS_G))}
     assert combined.diverged and 0 < sum(row[7] for row in combined.rows) < 16 * 105
+
+
+def three_block_study(**overrides):
+    return ConvergenceConfig(**{**SMALL_STUDY, "samples": 120, **overrides})
+
+
+@pytest.mark.parametrize("run,fine,coarse", [
+    (lambda: positivity_census(CensusConfig(N=16, T=0.5, samples=120), jobs=1), 4, [4]),
+    (lambda: mean_square_error_study(three_block_study(), jobs=1), 7, [2, 3, 4]),
+    (lambda: mean_square_error_study(three_block_study(g_name="linear", reference="exact_linear"),
+                                     jobs=1), 7, [2, 3, 4]),
+    (lambda: moment_bound_study(three_block_study(), jobs=1), 4, [2, 3, 4]),
+], ids=["census", "study", "exact-linear-study", "moments"])
+def test_every_driver_maps_its_blocks_once_and_draws_once_per_block(monkeypatch, run, fine, coarse):
+    # every driver runs the one block loop: per block one draw at the fine
+    # path level, then one coarsening per run level (the census's is the identity)
+    maps = counting(monkeypatch, "_map_blocks")
+    draws = counting(monkeypatch, "sample_increment_batch")
+    coarsenings = counting(monkeypatch, "coarsen_increments")
+    run()
+    blocks = [range(0, 50), range(50, 100), range(100, 120)]
+    assert len(maps) == 1
+    assert [(args[1], args[3]) for args in draws] == [(fine, block) for block in blocks]
+    assert [args[1:] for args in coarsenings] == [(fine, level) for level in coarse] * 3
 
 
 def test_census_cli_makes_one_block_map_per_invocation(tmp_path, monkeypatch):
@@ -988,6 +1046,17 @@ def test_memory_guard_counts_the_field_batch(eight_gb_machine, capsys, tmp_path)
     assert "needs at least 53.67 GB" in err
     assert "each holding 50 x 2^6 increments, two 50 x 67092481 fields (step input and output)" in err
     assert not out.exists()
+
+
+def test_memory_guard_gives_a_numpy_integer_the_verdict_of_an_int(eight_gb_machine):
+    # in a numpy integer's fixed width the guard's product overflowed, so a
+    # census needing 3.7e12 GB passed it with only a RuntimeWarning
+    verdicts = []
+    for N in (2**31, np.int64(2**31)):
+        with pytest.raises(ValueError, match="needs at least 3689348811305.94 GB") as exc:
+            positivity_census(CensusConfig(d=2, N=N), jobs=1)
+        verdicts.append(str(exc.value))
+    assert verdicts[0] == verdicts[1]
 
 
 def test_memory_guard_passes_runs_that_fit(eight_gb_machine):
