@@ -7,15 +7,7 @@ __version__ = "0.1.0"
 from .mesh import Grid, sample_initial, sine_initial
 from .heat_operator import HeatFlow, HeatOperator, PositivityDiagnosticsError
 from .noise_paths import coarsen_increments, sample_path
-from .nonlinearity import (
-    Nonlinearity,
-    from_name,
-    linear,
-    log1p,
-    rational,
-    sine_plus,
-    zero,
-)
+from .nonlinearity import Nonlinearity, from_name
 from .integrators import (
     IntegratorKind,
     PathRecord,
@@ -44,11 +36,6 @@ __all__ = [
     "sample_path",
     "coarsen_increments",
     "Nonlinearity",
-    "linear",
-    "rational",
-    "sine_plus",
-    "log1p",
-    "zero",
     "from_name",
     "IntegratorKind",
     "StepContext",

@@ -99,11 +99,16 @@ def _no_duplicates(name: str, values: Iterable) -> None:
             raise ValueError(f"{name} lists {config_text(value)} more than once")
 
 
-def _check_number(name: str, value) -> None:
-    """Raise ValueError unless value is a real number; a bool is rejected,
-    as check_int rejects it for a count."""
+def _check_number(name: str, value) -> float:
+    """value as a Python float; raises ValueError unless value is a real
+    number that float64 holds. A bool is rejected, as check_int rejects it
+    for a count."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} takes a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int or a Fraction past float64
+        raise ValueError(f"{name} overflows float64") from None
 
 
 def _check_shared(cfg: "CensusConfig | ConvergenceConfig") -> None:
@@ -111,8 +116,9 @@ def _check_shared(cfg: "CensusConfig | ConvergenceConfig") -> None:
     for name in ("d", "N"):
         object.__setattr__(cfg, name, check_int(name, getattr(cfg, name)))
     Grid(cfg.d, cfg.N)  # validates their range
-    _check_number("T", cfg.T)
-    _check_number("lambda", cfg.lam)
+    # and T and lambda as floats: equal configs echo the same bytes
+    object.__setattr__(cfg, "T", _check_number("T", cfg.T))
+    object.__setattr__(cfg, "lam", _check_number("lambda", cfg.lam))
     object.__setattr__(cfg, "integrators", tuple(cfg.integrators))
     if not cfg.integrators:
         raise ValueError("need at least one integrator")
@@ -145,7 +151,7 @@ class CensusConfig:
 
     def __post_init__(self):
         _check_shared(self)
-        _check_number("tau", self.tau)
+        object.__setattr__(self, "tau", _check_number("tau", self.tau))
         try:
             level = -dyadic_exponent(self.tau)
         except ValueError as exc:
@@ -334,7 +340,9 @@ def _blocks(samples: int) -> list[range]:
 def _workers(samples: int, jobs: int) -> int:
     """Processes that run blocks at once, the calling one included: ``jobs``
     capped at the block count and at the CPUs this process may use; 1
-    where processes cannot be forked. Raises ValueError if jobs < 1."""
+    where processes cannot be forked. Raises ValueError unless jobs is an
+    integer >= 1."""
+    jobs = check_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if "fork" not in multiprocessing.get_all_start_methods():

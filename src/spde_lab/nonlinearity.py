@@ -4,8 +4,8 @@ f(v) = g(v)/v for v != 0 and f(0) = g'(0); f is continuous and bounded by
 the Lipschitz constant of g, which is what makes the splitting scheme's
 exponential update well behaved for any step size.
 
-Catalogue (lam scales the noise): linear lam*v, rational lam*v/(1+v^2),
-sineplus lam*(sin(v)+v), log1p lam*ln(1+v), zero.
+Catalogue, built by from_name (lam scales the noise): linear lam*v,
+rational lam*v/(1+v^2), sineplus lam*(sin(v)+v), log1p lam*ln(1+v), zero.
 
 Each g and f returns, bit for bit, its textbook formula evaluated on every
 entry (±0, subnormals, ±inf and NaN included), but skips the costly work
@@ -77,7 +77,7 @@ def _ratio_with_limit(g: Callable, gprime0: float) -> Callable:
     return f
 
 
-def linear(lam: float) -> Nonlinearity:
+def _linear(lam: float) -> Nonlinearity:
     return Nonlinearity(
         "linear",
         lam,
@@ -86,7 +86,7 @@ def linear(lam: float) -> Nonlinearity:
     )
 
 
-def rational(lam: float) -> Nonlinearity:
+def _rational(lam: float) -> Nonlinearity:
     # f has the closed form lam / (1 + v^2).
     return Nonlinearity(
         "rational",
@@ -96,7 +96,7 @@ def rational(lam: float) -> Nonlinearity:
     )
 
 
-def sine_plus(lam: float) -> Nonlinearity:
+def _sine_plus(lam: float) -> Nonlinearity:
     def g(v):
         v = np.asarray(v, dtype=np.float64)
         a = np.abs(v)
@@ -112,7 +112,7 @@ def sine_plus(lam: float) -> Nonlinearity:
     return Nonlinearity("sineplus", lam, g=g, f=_ratio_with_limit(g, 2.0 * lam))
 
 
-def log1p(lam: float) -> Nonlinearity:
+def _log1p(lam: float) -> Nonlinearity:
     v_star = -1.0 + EPS_DOM
     g_star = np.log(EPS_DOM)
     slope = 1.0 / EPS_DOM
@@ -128,20 +128,21 @@ def log1p(lam: float) -> Nonlinearity:
     return Nonlinearity("log1p", lam, g=g, f=_ratio_with_limit(g, lam))
 
 
-def zero() -> Nonlinearity:
+def _zero(lam: float) -> Nonlinearity:
     def zeros(v):
         return np.zeros_like(np.asarray(v, dtype=np.float64))
 
     return Nonlinearity("zero", 0.0, g=zeros, f=zeros)
 
 
-#: CLI spellings of the catalogue, each with its builder taking lam.
+#: CLI spellings of the catalogue, each with its builder taking lam (zero
+#: ignores it). from_name is the public way to build one: it checks lam.
 CLI_NAMES: dict[str, Callable[[float], Nonlinearity]] = {
-    "linear": linear,
-    "rational": rational,
-    "sineplus": sine_plus,
-    "log1p": log1p,
-    "zero": lambda lam: zero(),
+    "linear": _linear,
+    "rational": _rational,
+    "sineplus": _sine_plus,
+    "log1p": _log1p,
+    "zero": _zero,
 }
 
 

@@ -1,8 +1,8 @@
 """The study and the census rebuilt on dense matrices: the check behind the
-``selftest`` CLI subcommand.
+``selftest`` CLI subcommand and tests/test_dense_oracle.py.
 
 The oracle builds N^2 D^N as a dense matrix A (a Kronecker sum in 2d) and
-steps a batch of flattened fields one step at a time:
+steps a batch of flattened fields one step at a time, in dense_checkpoints:
 
 * the semigroup is scipy.linalg.expm(tau A), with its roundoff-negative
   entries set to zero (the heat kernel is entrywise nonnegative);
@@ -13,10 +13,11 @@ steps a batch of flattened fields one step at a time:
 It is independent of HeatOperator and the step kernels. It shares with the
 package only what defines the experiment: the Brownian draws
 (sample_increment_batch, coarsen_increments, path_level), the initial data
-and the catalogue g and f. run_all compares a small study and census with
-it (study rows to 1e-10 relative, census counts exactly) and runs the
-N = 2 scalar oracle, which checks one step of each integrator against
-formulas written from the step definitions.
+and the catalogue g and f. check_study and check_census are the package's
+only comparison with it: study rows to 1e-10 relative, every oracle error
+finite and > 0 and no sample diverged; census counts exact, LT keeping
+every path of every g and some comparator losing one. check_scalar_oracle
+checks one step of each integrator at N = 2 against the step definitions.
 """
 
 from __future__ import annotations
@@ -100,19 +101,12 @@ def dense_census(cfg: CensusConfig) -> dict:
     incr = sample_increment_batch(cfg.T, level, cfg.master_seed, range(cfg.samples))
     A = dense_laplacian(cfg.d, cfg.N)
     counts = {}
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for g in cfg.g_names:
-            steps = DenseSteps(A, from_name(g, cfg.lam), cfg.tau)
-            for kind in cfg.integrators:
-                U = initial_batch(cfg)
-                low = U.min(axis=1)
-                finite = np.ones(cfg.samples, dtype=bool)
-                for m in range(incr.shape[1]):
-                    U = steps(kind, U, incr[:, m])
-                    low = np.minimum(low, U.min(axis=1))
-                    finite &= np.isfinite(U).all(axis=1)
-                positive = finite & (low >= 0.0)
-                counts[kind.value, g] = (int(positive.sum()), int((~finite).sum()))
+    for g in cfg.g_names:
+        steps = DenseSteps(A, from_name(g, cfg.lam), cfg.tau)
+        for kind in cfg.integrators:
+            cps, finite = dense_checkpoints(steps, kind, initial_batch(cfg), incr, 1)
+            positive = finite & (cps.min(axis=(1, 2)) >= 0.0)
+            counts[kind.value, g] = (int(positive.sum()), int((~finite).sum()))
     return counts
 
 
@@ -149,7 +143,7 @@ def dense_study(cfg: ConvergenceConfig) -> dict:
             ok = finite & ref_finite
             diff = cps[ok] - ref[ok]
             sq = np.sum(diff * diff, axis=0)
-            errors[kind.value, j] = math.sqrt(float(sq.max()) / ok.sum())
+            errors[kind.value, j] = math.sqrt(float(sq.max()) / ok.sum()) if ok.any() else math.nan
     return errors
 
 
@@ -162,10 +156,14 @@ def check_study(d: int, N: int) -> CheckResult:
     name = f"study vs dense oracle, {d}d N = {N}"
     tol = 1e-10
     cfg = ConvergenceConfig(d=d, N=N, **STUDY)
-    got = {(row[0], row[5]): row[7] for row in mean_square_error_study(cfg).rows}
+    report = mean_square_error_study(cfg)
+    got = {(row[0], row[5]): row[7] for row in report.rows}
     want = dense_study(cfg)
     if got.keys() != want.keys():
         return CheckResult(name, False, f"rows {sorted(got)} against {sorted(want)}")
+    bad = sorted(key for key, e in want.items() if not (math.isfinite(e) and e > 0))
+    if bad or report.diverged:
+        return CheckResult(name, False, f"oracle errors {bad} not > 0, diverged {report.diverged}")
     # NaN propagates through max and fails the comparison
     worst = float(np.max([abs(got[key] - e) / e for key, e in want.items()]))
     detail = f"max relative deviation {worst:.3e} (tol {tol:.0e})"
@@ -181,6 +179,11 @@ def check_census(d: int, N: int) -> CheckResult:
     differ = sorted(key for key in want.keys() | got.keys() if got.get(key) != want.get(key))
     if differ:
         return CheckResult(name, False, f"counts differ at {differ}")
+    # the census tells the schemes apart: LT keeps every path at every g (a
+    # positive path is finite, so it is at (samples, 0)), a comparator does not
+    lost = sorted({kind for (kind, _), (n, _) in want.items() if n < cfg.samples})
+    if LT.value in lost or not lost:
+        return CheckResult(name, False, f"{lost} lost a path: LT must not, a comparator must")
     return CheckResult(name, True, f"{len(want)} (integrator, g) counts equal")
 
 
@@ -230,8 +233,8 @@ def check_scalar_oracle() -> CheckResult:
 
 
 def run_all() -> list[CheckResult]:
-    """The study and census oracles at 1d N = 16 and 64 and 2d N = 8, then
-    the scalar oracle."""
+    """check_study and check_census at 1d N = 16 and 64 and 2d N = 8, then
+    check_scalar_oracle; the module docstring says what each asserts."""
     sizes = ((1, 16), (1, 64), (2, 8))
     return ([check_study(d, N) for d, N in sizes] + [check_census(d, N) for d, N in sizes]
             + [check_scalar_oracle()])

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import pytest
@@ -303,6 +303,42 @@ def test_scalar_oracle_fails_on_a_nan_step(monkeypatch):
     result = selftest.check_scalar_oracle()
     assert not result.passed
     assert result.detail == "max deviation nan (tol 1e-13)"
+
+
+def _nan_f_above_0_9(monkeypatch, g_name):
+    """Make f NaN wherever a field passes 0.9, in the package and the oracle
+    alike: both build g through from_name."""
+    from spde_lab import nonlinearity
+
+    build = nonlinearity.CLI_NAMES[g_name]
+
+    def nan_above(lam):
+        nl = build(lam)
+        return replace(nl, f=lambda v: np.where(np.asarray(v) > 0.9, np.nan, nl.f(v)))
+
+    monkeypatch.setitem(nonlinearity.CLI_NAMES, g_name, nan_above)
+
+
+def test_census_check_fails_when_lt_loses_paths_in_package_and_oracle_alike(monkeypatch):
+    # both lose every LT path of the linear g, so their counts agree
+    from spde_lab import selftest
+
+    _nan_f_above_0_9(monkeypatch, "linear")
+    result = selftest.check_census(1, 16)
+    assert not result.passed
+    assert result.detail == "['em', 'lt', 'sem', 'sexp'] lost a path: LT must not, a comparator must"
+
+
+def test_study_check_fails_when_no_oracle_sample_stays_finite(monkeypatch):
+    # every path of the rational g diverges: the oracle's errors are NaN, and
+    # the check fails where it divided 0 by 0
+    from spde_lab import selftest
+
+    _nan_f_above_0_9(monkeypatch, "rational")
+    result = selftest.check_study(1, 16)
+    assert not result.passed
+    assert result.detail.startswith("oracle errors [('lt', 2), ('lt', 3)")
+    assert result.detail.endswith("'sexp@5': 100}")
 
 
 def test_selftest_fails_on_a_perturbed_semigroup(monkeypatch, capsys):

@@ -6,6 +6,8 @@ import warnings
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -182,6 +184,38 @@ def test_config_accepts_numpy_integer_counts():
                               census.samples, census.master_seed)} == {int}
 
 
+@pytest.mark.parametrize("run,config,ints", [
+    (positivity_census, partial(CensusConfig, N=8, samples=2, g_names=("linear",)),
+     dict(T=2, tau=1, lam=3)),
+    (mean_square_error_study, partial(ConvergenceConfig, N=8, samples=2, levels=(3, 4),
+                                      ref_level=6), dict(T=1, lam=1)),
+], ids=["census", "study"])
+def test_equal_configs_write_the_same_bytes(tmp_path, run, config, ints):
+    # an int T, tau or lambda was echoed "T=2" where the equal float gave "T=2.0"
+    cfgs = config(**ints), config(**{key: float(value) for key, value in ints.items()})
+    assert cfgs[0] == cfgs[1]
+    assert {type(getattr(cfgs[0], key)) for key in ints} == {float}
+    paths = tmp_path / "ints.csv", tmp_path / "floats.csv"
+    for cfg, path in zip(cfgs, paths):
+        write_report(run(cfg), path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("field,name", [("T", "T"), ("tau", "tau"), ("lam", "lambda")])
+def test_config_names_a_number_past_float64(field, name):
+    # float() raised a bare OverflowError that named no field
+    for value in (10**400, Fraction(10**400, 3)):
+        with pytest.raises(ValueError, match=f"^{name} overflows float64$"):
+            CensusConfig(**{field: value})
+
+
+def test_a_fraction_horizon_runs():
+    # numpy has no ufunc loop for a Fraction: T is stored as a float
+    cfg = CensusConfig(N=8, T=Fraction(1, 2), samples=2, g_names=("linear",))
+    assert positivity_census(cfg).rows == positivity_census(replace(cfg, T=0.5)).rows
+    assert type(cfg.T) is float
+
+
 def test_study_config_reads_a_generator_of_levels_once():
     # the check loop used to use it up, leaving no level to sort
     assert ConvergenceConfig(levels=(j for j in (4, 3)), ref_level=8).levels == (3, 4)
@@ -192,7 +226,7 @@ def test_mesh_study_checks_every_mesh_before_the_first_runs(eight_gb_machine):
         mesh_independence_study(ConvergenceConfig(**SMALL_STUDY), [16, 1])
 
 
-@pytest.mark.parametrize("jobs", [0, -2])
+@pytest.mark.parametrize("jobs", [0, -2, 2.0, "2", True])
 @pytest.mark.parametrize("run", [
     lambda jobs: positivity_census(CensusConfig(**SMALL_CENSUS), jobs=jobs),
     lambda jobs: mean_square_error_study(ConvergenceConfig(**SMALL_STUDY), jobs=jobs),
@@ -201,7 +235,10 @@ def test_mesh_study_checks_every_mesh_before_the_first_runs(eight_gb_machine):
     lambda jobs: experiments._map_blocks(100, jobs, lambda block: {"n": len(block)}),
 ], ids=["census", "study", "moments", "mesh-study", "map_blocks"])
 def test_jobs_below_one_is_rejected_before_any_work(eight_gb_machine, run, jobs):
-    with pytest.raises(ValueError, match=re.escape(f"jobs must be >= 1, got {jobs}")):
+    # 2.0 and "2" failed inside the pool, and True ran on one worker
+    message = (f"jobs must be >= 1, got {jobs}" if type(jobs) is int
+               else f"jobs takes integers, got {jobs!r}")
+    with pytest.raises(ValueError, match=re.escape(message)):
         run(jobs)
 
 

@@ -23,13 +23,7 @@ from spde_lab.integrators import (
     step,
 )
 from spde_lab.mesh import Grid, sample_initial, sine_initial
-from spde_lab.nonlinearity import (
-    CLI_NAMES,
-    Nonlinearity,
-    from_name,
-    linear,
-    zero,
-)
+from spde_lab.nonlinearity import CLI_NAMES, Nonlinearity, from_name
 from spde_lab.noise_paths import coarsen_increments, sample_path
 
 LT, EM, SEM, SEXP = IntegratorKind
@@ -38,8 +32,7 @@ LT, EM, SEM, SEXP = IntegratorKind
 def make(grid_args, g_name, lam, tau):
     grid = Grid(*grid_args)
     op = HeatOperator(grid)
-    nl = from_name(g_name, lam) if g_name != "zero" else zero()
-    return op, StepContext(op, nl, tau)
+    return op, StepContext(op, from_name(g_name, lam), tau)
 
 
 # -- hand-checked single steps ------------------------------------------------
@@ -158,7 +151,7 @@ def test_lt_linear_exactness_against_analytic():
     for level in (5, 7, 9):
         incr = coarsen_increments(path, 9, level)
         tau = 0.5 / incr.size
-        ctx = StepContext(op, linear(1.0), tau)
+        ctx = StepContext(op, from_name("linear", 1.0), tau)
         rec = run_path(IntegratorKind.LT, ctx, u0, incr)
         beta_T = float(np.sum(incr))
         want = exact_linear_array(op, u0, 1.0, beta_T, 0.5)
@@ -220,7 +213,7 @@ def test_lt_linear_step_size_independence():
     finals = []
     for level in (6, 7, 8):
         incr = coarsen_increments(path, 8, level)
-        ctx = StepContext(op, linear(2.5), 0.5 / incr.size)
+        ctx = StepContext(op, from_name("linear", 2.5), 0.5 / incr.size)
         finals.append(run_path(IntegratorKind.LT, ctx, u0, incr).final)
     for a, b in zip(finals, finals[1:]):
         assert np.allclose(a, b, rtol=1e-10)

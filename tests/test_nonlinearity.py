@@ -7,48 +7,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import spde_lab
 from spde_lab.experiments import CENSUS_G
-from spde_lab.nonlinearity import (
-    CLI_NAMES,
-    EPS_DOM,
-    Nonlinearity,
-    from_name,
-    linear,
-    log1p,
-    rational,
-    sine_plus,
-    zero,
-)
+from spde_lab.nonlinearity import CLI_NAMES, EPS_DOM, Nonlinearity, from_name
 
 ALL_NAMES = tuple(CLI_NAMES)
 
 
 def test_linear_f_constant():
-    nl = linear(1.0)
+    nl = from_name("linear", 1.0)
     for v in (-5.0, -1e-9, 0.0, 1e-9, 3.0):
         assert nl.f(v) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_rational_values():
-    nl = rational(2.5)
+    nl = from_name("rational", 2.5)
     assert nl.f(2.0) == pytest.approx(0.5, rel=1e-15)
-    assert rational(1.0).g(1.0) == pytest.approx(0.5, rel=1e-15)
+    assert from_name("rational", 1.0).g(1.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_log1p_f_at_zero():
-    assert log1p(2.5).f(0.0) == pytest.approx(2.5, abs=1e-15)
+    assert from_name("log1p", 2.5).f(0.0) == pytest.approx(2.5, abs=1e-15)
 
 
 def test_zero_nonlinearity():
-    nl = zero()
+    nl = from_name("zero", 2.5)
     v = np.linspace(-3, 3, 11)
     assert np.all(nl.f(v) == 0.0)
     assert np.all(nl.g(v) == 0.0)
 
 
 def test_g_examples():
-    assert linear(2.5).g(1.0) == 2.5
-    assert sine_plus(2.5).g(0.0) == 0.0
+    assert from_name("linear", 2.5).g(1.0) == 2.5
+    assert from_name("sineplus", 2.5).g(0.0) == 0.0
 
 
 def test_g_vanishes_at_zero_everywhere():
@@ -110,13 +101,13 @@ def test_f_bounded_by_lipschitz_constant():
 
 
 def test_log1p_positive_side_bound_is_one():
-    nl = log1p(2.5)
+    nl = from_name("log1p", 2.5)
     v = np.geomspace(1e-8, 10, 10001)
     assert float(np.max(np.abs(nl.f(v)))) <= 2.5 * (1 + 1e-12)
 
 
 def test_log1p_extension_is_c1_and_total():
-    nl = log1p(1.0)
+    nl = from_name("log1p", 1.0)
     v_star = -1.0 + EPS_DOM
     h = 1e-9
     # value continuity at the junction: both branches give ln(eps) at v*
@@ -131,6 +122,13 @@ def test_log1p_extension_is_c1_and_total():
     assert np.all(np.isfinite(deep))
     # agrees with ln(1+v) on the untouched branch
     assert float(nl.g(-0.5)) == pytest.approx(math.log(0.5), rel=1e-14)
+
+
+def test_the_catalogue_is_built_only_through_from_name():
+    # a builder took a NaN lambda and made g NaN everywhere; from_name checks it
+    assert not {"linear", "rational", "sine_plus", "log1p", "zero"} & set(dir(spde_lab))
+    with pytest.raises(ValueError, match="lambda must be finite, got nan"):
+        from_name("rational", float("nan"))
 
 
 def test_from_name_rejects_unknown():
@@ -241,9 +239,9 @@ def test_g_and_f_are_textbook_bits_on_edges(label, new, old):
 
 def test_sine_skip_starts_at_2_to_54():
     assert 2.0**53 < SINE_TIE < 2.0**54
-    assert sine_plus(1.0).g(SINE_TIE) == SINE_TIE + 2.0
-    assert sine_plus(1.0).g(-SINE_TIE) == -SINE_TIE - 2.0  # sin is odd
-    assert sine_plus(1.0).g(2.0**54) == 2.0**54
+    assert from_name("sineplus", 1.0).g(SINE_TIE) == SINE_TIE + 2.0
+    assert from_name("sineplus", 1.0).g(-SINE_TIE) == -SINE_TIE - 2.0  # sin is odd
+    assert from_name("sineplus", 1.0).g(2.0**54) == 2.0**54
 
 
 # floats of every class: hypothesis draws NaNs with various payloads and signs

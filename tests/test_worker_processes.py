@@ -1,6 +1,7 @@
 """Whole CLI processes: reports byte-identical at every --jobs, with
-OpenBLAS threads on and off, within 1e-10 relative across CPU kernels, and
-scipy loaded only by runs that use it."""
+OpenBLAS threads on and off, within 1e-10 relative across CPU kernels, the
+selftest passing on each CPU kernel, and scipy loaded only by runs that use
+it."""
 
 import functools
 import json
@@ -80,6 +81,19 @@ def _lacking(setting):
                   | {f for f in disabled if f not in umath.__cpu_dispatch__})
 
 
+def _cpu_env(setting):
+    """The environment of a run under a CPU setting; skips the test where
+    this CPU cannot emulate it."""
+    lacking = _lacking(setting)
+    if lacking:
+        pytest.skip(f"this CPU or numpy build lacks {', '.join(lacking)}")
+    env = _env(None)
+    for key in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
+        env.pop(key, None)
+    env.update(CPU_SETTINGS[setting][0])
+    return env
+
+
 @pytest.fixture(scope="module")
 def report_at(tmp_path_factory):
     """report_at(name, setting, jobs): the report's bytes, each run once."""
@@ -87,14 +101,10 @@ def report_at(tmp_path_factory):
 
     @functools.cache
     def run(name, setting, jobs):
-        env = _env(None)
-        for key in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
-            env.pop(key, None)
-        env.update(CPU_SETTINGS[setting][0])
         out = out_dir / f"{name}-{setting}-{jobs}.csv"
         subprocess.run([sys.executable, "-m", "spde_lab", *ACROSS_CPUS[name],
                         "--jobs", jobs, "--out", str(out)],
-                       env=env, check=True, capture_output=True, timeout=600)
+                       env=_cpu_env(setting), check=True, capture_output=True, timeout=600)
         return out.read_bytes()
 
     return run
@@ -117,15 +127,21 @@ def _numbers_apart(report):
 @pytest.mark.parametrize("setting", sorted(CPU_SETTINGS))
 @pytest.mark.parametrize("name", sorted(ACROSS_CPUS))
 def test_reports_agree_across_cpu_kernels(report_at, name, setting):
-    lacking = _lacking(setting)
-    if lacking:
-        pytest.skip(f"this CPU or numpy build lacks {', '.join(lacking)}")
     data = report_at(name, setting, "1")
     assert report_at(name, setting, "2") == data
     lines, numbers = _numbers_apart(data)
     native_lines, native_numbers = _numbers_apart(report_at(name, "native", "1"))
     assert lines == native_lines
     assert numbers == pytest.approx(native_numbers, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("setting", sorted(CPU_SETTINGS))
+def test_selftest_passes_on_each_cpu_kernel(setting):
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "spde_lab",
+                           "selftest"], env=_cpu_env(setting), capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "7/7 checks passed" in proc.stdout
 
 
 IMPORTS = """
