@@ -25,6 +25,7 @@ import argparse
 import errno
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -282,15 +283,20 @@ def parse_args(argv=None) -> RunSpec:
 
 def _check_out(path: str) -> None:
     """Raise, before the run, the error write_report would raise after it
-    for a path that is a directory or whose parent is missing or is not a
-    directory. The file itself is neither created nor truncated."""
-    parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    for an empty path, a directory, or a path in whose directory no file
+    can be created (missing, not a directory, read-only, /proc), found by
+    creating and deleting a temporary file there. The file at path itself
+    is neither created nor truncated."""
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
     else:
-        return
+        try:
+            with tempfile.TemporaryFile(dir=os.path.dirname(path) or "."):
+                return
+        except OSError as exc:
+            code = exc.errno
     raise UsageError(f"cannot write report to {path}: {OSError(code, os.strerror(code), path)}")
 
 

@@ -16,6 +16,10 @@ size tau from u with Brownian increment db:
 For g(v) = lam*v the LT step is exact: the noise factor is the scalar
 exp(lam db - lam^2 tau / 2), which commutes with the heat flow, so iterating
 reproduces e^{t N^2 D^N} e^{lam beta(t) - lam^2 t / 2} u0 at every step size.
+
+The kernels in UPDATES have one caller, evolve, which steps a field or a
+batch under one contract (see its docstring, which says what it rejects);
+step is run_path over one increment, and run_path goes through evolve.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .heat_operator import HeatFlow, HeatOperator
+from .mesh import check_int
 from .nonlinearity import Nonlinearity
 
 # Exponent guard: |f| <= Lip(g) makes f*db - f^2 tau/2 small at sane
@@ -114,10 +119,17 @@ def evolve(ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarr
     """Step U along the last axis of incr: one field with incr (M,), or a
     batch (B, *grid) with incr (B, M). visit(0, U) sees the start field and
     visit(i, U) the field after every stride-th step i; it must not write
-    into U. The updates see incr through a read-only view, so one that
-    writes into its increment raises ValueError. Overflow and NaN are data,
-    not warnings. Returns the summed LT exponent-clamp count. UPDATES[kind]
-    is looked up per call."""
+    into U. Raises ValueError, before any step, unless incr's leading shape
+    is U's batch shape and stride is an int >= 1. The updates see incr
+    read-only, so one that writes into it raises ValueError. Overflow and
+    NaN are data, not warnings. Returns the summed LT exponent-clamp count.
+    The one caller of UPDATES[kind], looked up per call: step and run_path
+    come through here."""
+    U = ctx.op.grid.as_batch(U)
+    if incr.ndim == 0 or incr.shape[:-1] != U.shape[:U.ndim - ctx.op.grid.d]:
+        raise ValueError(f"increments of shape {incr.shape} do not fit fields of shape {U.shape}")
+    if check_int("stride", stride) < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     update = UPDATES[kind]
     incr = incr.view()
     incr.setflags(write=False)
@@ -136,10 +148,9 @@ def evolve(ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarr
 
 
 def step(kind: IntegratorKind, ctx: StepContext, u, dbeta: float) -> np.ndarray:
-    """One step of ``kind`` from the field u with the scalar increment dbeta;
-    LT maps u >= 0 to u >= 0 for any tau."""
-    out, _ = UPDATES[kind](ctx, ctx.op.grid.as_field(u), float(dbeta))
-    return out
+    """One step of ``kind`` from the field u with the scalar increment dbeta,
+    run_path over that one increment; LT maps u >= 0 to u >= 0 for any tau."""
+    return run_path(kind, ctx, u, [float(dbeta)]).final
 
 
 @dataclass(eq=False)
@@ -148,17 +159,18 @@ class PathRecord:
 
     running_min covers the initial field and every step; it is NaN if the
     path corrupted, which fails any >= 0 positivity check. Divergence
-    (first non-finite value) is data, not an error.
+    (first non-finite value, at step diverged_step) is data, not an error.
     """
 
-    kind: IntegratorKind
-    step_count: int
     running_min: float
     sup_norms: np.ndarray
     final: np.ndarray
-    diverged: bool = False
     diverged_step: int | None = None
     clamp_events: int = 0
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_step is not None
 
     @property
     def positive(self) -> bool:
@@ -167,23 +179,19 @@ class PathRecord:
         return (not self.diverged) and self.running_min >= 0.0
 
 
-def run_path(kind: IntegratorKind, ctx: StepContext, u0, increments: np.ndarray) -> PathRecord:
+def run_path(kind: IntegratorKind, ctx: StepContext, u0, increments) -> PathRecord:
     """Iterate one integrator over a whole increment sequence, keeping the
     running minimum, per-step sup norms and the final field. evolve's
-    visitor sees every intermediate field. increments holds one path:
-    shape (M,), or (1, M) as a one-row batch."""
+    visitor sees every intermediate field. increments holds one path of
+    M >= 1 steps: shape (M,), or (1, M) as a one-row batch."""
     increments = np.asarray(increments, dtype=np.float64)
     M = increments.size
-    if increments.ndim > 1 and M != increments.shape[-1]:
+    if M < 1 or increments.shape not in ((M,), (1, M)):
         raise ValueError(f"run_path steps one path of increments, got shape {increments.shape}")
-    if M < 1:
-        raise ValueError("need at least one increment")
     u0 = ctx.op.grid.as_field(u0)
 
     sup_norms = np.empty(M + 1)
-    running_min = np.inf
-    diverged_step = None
-    final = u0
+    running_min, diverged_step, final = np.inf, None, u0
 
     def track(i: int, U: np.ndarray) -> None:
         nonlocal running_min, diverged_step, final
@@ -194,27 +202,22 @@ def run_path(kind: IntegratorKind, ctx: StepContext, u0, increments: np.ndarray)
         sup_norms[i] = np.max(np.abs(U))
         final = U
 
-    # one path per call, bitwise as step: as a row of a larger batch it
-    # would go through gemm, not gemv, on the 1d matmul path
+    # one path per call, bitwise as a single update: as a row of a larger
+    # batch it would go through gemm, not gemv, on the 1d matmul path
     clamp_events = evolve(ctx, kind, u0, increments.reshape(-1), 1, track)
-    return PathRecord(
-        kind=kind,
-        step_count=M,
-        running_min=running_min,
-        sup_norms=sup_norms,
-        final=final,
-        diverged=diverged_step is not None,
-        diverged_step=diverged_step,
-        clamp_events=clamp_events,
-    )
+    return PathRecord(running_min, sup_norms, final, diverged_step, clamp_events)
 
 
 def exact_linear_array(op: HeatOperator, u0, lam: float, beta, t) -> np.ndarray:
     """Exact semi-discrete solution for g(v) = lam*v,
     e^{t N^2 D^N} e^{lam beta(t) - lam^2 t / 2} u0, batched: t is a time or
     an array of times, beta(t) broadcasts against t, and the result has
-    shape broadcast(beta, t).shape + grid shape (one field at a scalar t)."""
+    shape broadcast(beta, t).shape + grid shape (one field at a scalar t).
+    Raises ValueError naming the first time that is negative or not finite."""
     t = np.asarray(t, dtype=np.float64)
+    bad = t[~((t >= 0) & (t < np.inf))]
+    if bad.size:
+        raise ValueError(f"time must be finite and >= 0, got {float(bad[0])}")
     u0 = op.grid.as_field(u0)
     heat = np.stack([u0 if s == 0 else HeatFlow(op, float(s)).heat(u0) for s in t.reshape(-1)])
     factor = np.exp(lam * np.asarray(beta, dtype=np.float64) - 0.5 * lam**2 * t)

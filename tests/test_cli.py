@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from dataclasses import asdict, dataclass, replace
 
@@ -267,9 +268,13 @@ def test_main_bad_output_path_exits_1(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "positivity_census", no_run)
     (tmp_path / "file").write_text("kept\n", encoding="utf-8")
-    for out, reason in [(tmp_path / "missing" / "dir" / "x.csv", "No such file or directory"),
-                        (tmp_path / "file" / "x.csv", "Not a directory"),
-                        (tmp_path, "Is a directory")]:
+    cases = [(tmp_path / "missing" / "dir" / "x.csv", "No such file or directory"),
+             (tmp_path / "file" / "x.csv", "Not a directory"),
+             (tmp_path, "Is a directory"),
+             ("", "No such file or directory")]
+    if os.path.isdir("/proc"):  # no file can be created there, even by root
+        cases.append(("/proc/x.csv", "No such file or directory"))
+    for out, reason in cases:
         code = main(["census", "--g", "linear", "--N", "16", "--samples", "2", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err

@@ -1,11 +1,14 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import spde_lab
 from spde_lab.experiments import CENSUS_G
 from spde_lab.heat_operator import HeatFlow, HeatOperator
 from spde_lab.integrators import (
@@ -182,8 +185,15 @@ def test_exact_linear_array_at_time_zero_is_u0_bitwise():
     assert same_bits(exact_linear_array(op, v, 2.0, 0.0, 0.0), v)
     got = exact_linear_array(op, v, 2.0, np.array([0.0, 0.3]), np.array([0.0, 0.0]))
     assert same_bits(got[1], np.exp(2.0 * 0.3) * v)
-    with pytest.raises(ValueError, match=re.escape("tau must be finite and > 0, got -0.5")):
-        exact_linear_array(op, v, 2.0, 0.0, -0.5)
+
+
+@pytest.mark.parametrize("t,named", [(-0.5, "-0.5"), (math.nan, "nan"), (math.inf, "inf"),
+                                     ([0.0, 0.5, -1.0], "-1.0")],
+                         ids=["negative", "nan", "inf", "negative-in-array"])
+def test_exact_linear_array_rejects_a_bad_time_by_name(t, named):
+    op, _ = make((1, 8), "linear", 1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"time must be finite and >= 0, got {named}")):
+        exact_linear_array(op, np.arange(7.0), 2.0, 0.0, t)
 
 
 @pytest.mark.parametrize("d,N", [(1, 16), (1, 128), (1, 256), (2, 8), (2, 16)])
@@ -222,12 +232,28 @@ def test_lt_linear_step_size_independence():
 # -- run_path ------------------------------------------------------------------
 
 
-def test_run_path_single_step_equals_kernel():
-    op, ctx = make((1, 16), "rational", 2.5, 0.2)
+# 1d N = 16 transforms by matmul, 1d N = 256 by DST-I
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+@pytest.mark.parametrize("d,N", [(1, 16), (1, 256), (2, 8)])
+def test_run_path_single_step_equals_kernel(d, N, kind):
+    # step goes through run_path and evolve, and reaches the kernel with the
+    # arguments it was called with before: the bits do not move
+    op, ctx = make((d, N), "rational", 2.5, 0.2)
     u0 = sample_initial(sine_initial, op.grid)
-    rec = run_path(IntegratorKind.SEM, ctx, u0, np.array([0.3]))
-    assert rec.step_count == 1
-    assert np.array_equal(rec.final, step(SEM, ctx, u0, 0.3))
+    got = step(kind, ctx, u0, 0.3)
+    assert same_bits(got, UPDATES[kind](ctx, u0, 0.3)[0])
+    rec = run_path(kind, ctx, u0, np.array([0.3]))
+    assert len(rec.sup_norms) == 2
+    assert same_bits(got, rec.final)
+
+
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+def test_step_on_an_overflowing_field_returns_what_run_path_returns(kind):
+    # overflow is data under evolve's errstate, for step as for run_path;
+    # pytest turns a RuntimeWarning into an error
+    op, ctx = make((1, 8), "rational", 1.0, 0.25)
+    u = np.full(7, 1e300)
+    assert same_bits(step(kind, ctx, u, 0.5), run_path(kind, ctx, u, [0.5]).final)
 
 
 def test_run_path_full_trajectory_consistent_with_summary():
@@ -268,7 +294,7 @@ def test_run_path_takes_one_path_of_increments():
         run_path(IntegratorKind.LT, ctx, u0, np.ones((2, 3)))
     row = np.array([[0.1, -0.2, 0.3]])  # a one-row batch is one path
     rec = run_path(IntegratorKind.LT, ctx, u0, row)
-    assert rec.step_count == 3
+    assert len(rec.sup_norms) == 4  # the start field and three steps
     assert same_bits(rec.final, run_path(IntegratorKind.LT, ctx, u0, row[0]).final)
 
 
@@ -496,6 +522,56 @@ def test_evolve_looks_up_update_per_call(monkeypatch, kind):
     evolve(ctx, kind, np.ones((2, 15)), incr, 4, lambda i, U: visits.append(i))
     assert len(calls) == 8
     assert visits == [0, 4, 8]
+
+
+@pytest.mark.parametrize("U_shape,incr_shape,stride,message", [
+    ((7,), (3, 4), 1, "increments of shape (3, 4) do not fit fields of shape (7,)"),
+    ((5, 7), (1, 4), 1, "increments of shape (1, 4) do not fit fields of shape (5, 7)"),
+    ((5, 7), (5,), 1, "increments of shape (5,) do not fit fields of shape (5, 7)"),
+    ((7,), (4,), 0, "stride must be >= 1, got 0"),
+    ((7,), (4,), -1, "stride must be >= 1, got -1"),
+    ((7,), (4,), 1.5, "stride takes integers, got 1.5"),
+    ((7,), (4,), True, "stride takes integers, got True"),
+], ids=["field-3-paths", "batch-1-path", "batch-no-step-axis", "stride-0", "stride-neg",
+        "stride-float", "stride-bool"])
+def test_evolve_rejects_a_bad_call_before_any_update(monkeypatch, U_shape, incr_shape, stride,
+                                                     message):
+    # a field with a batch of paths became a batch, one path drove a whole
+    # batch, and a stride below 1 divided by zero or skipped every visit
+    op, ctx = make((1, 8), "rational", 1.0, 0.25)
+
+    def never(*args):
+        raise AssertionError("evolve stepped or visited before checking its call")
+
+    monkeypatch.setitem(UPDATES, LT, never)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve(ctx, LT, np.ones(U_shape), np.ones(incr_shape), stride, never)
+
+
+def updates_subscripts(tree):
+    """The innermost enclosing function (None at module level) of every
+    UPDATES[...] or module.UPDATES[...] in tree."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Subscript) and "UPDATES" in (
+                    getattr(child.value, "id", None), getattr(child.value, "attr", None)):
+                found.append(fn)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_evolve_subscripts_updates():
+    # evolve owns the step contract (errstate, read-only increments, shape
+    # and stride checks), so no other code in the package reaches a kernel
+    # through UPDATES[kind]
+    assert updates_subscripts(ast.parse("def f():\n    return integrators.UPDATES[k]")) == ["f"]
+    found = [(path.name, fn) for path in sorted(Path(spde_lab.__file__).parent.glob("*.py"))
+             for fn in updates_subscripts(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("integrators.py", "evolve")]
 
 
 @pytest.mark.parametrize("d,N", [(1, 256), (1, 16), (2, 16)])
