@@ -4,7 +4,7 @@
 Runs a single Brownian path at a deliberately large step size and prints
 the running minimum and sup norm per integrator: the splitting scheme's
 minimum never leaves [0, inf), the comparators' do. Also demonstrates the
-one-step API and the exactness of the splitting scheme for linear g.
+exactness of the splitting scheme for linear g.
 """
 
 import numpy as np

@@ -8,13 +8,7 @@ from .mesh import Grid, sample_initial, sine_initial
 from .heat_operator import HeatFlow, HeatOperator, PositivityDiagnosticsError
 from .noise_paths import coarsen_increments, sample_path
 from .nonlinearity import Nonlinearity, from_name
-from .integrators import (
-    IntegratorKind,
-    PathRecord,
-    StepContext,
-    run_path,
-    step,
-)
+from .integrators import IntegratorKind, PathRecord, StepContext, run_path
 from .experiments import (
     CensusConfig,
     ConvergenceConfig,
@@ -41,7 +35,6 @@ __all__ = [
     "StepContext",
     "PathRecord",
     "run_path",
-    "step",
     "CensusConfig",
     "ConvergenceConfig",
     "ExperimentReport",

@@ -18,8 +18,9 @@ exp(lam db - lam^2 tau / 2), which commutes with the heat flow, so iterating
 reproduces e^{t N^2 D^N} e^{lam beta(t) - lam^2 t / 2} u0 at every step size.
 
 The kernels in UPDATES have one caller, evolve, which steps a field or a
-batch under one contract (see its docstring, which says what it rejects);
-step is run_path over one increment, and run_path goes through evolve.
+batch under one contract (see its docstring, which says what it rejects).
+run_path goes through evolve, and one step of a field is run_path over one
+increment.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ def lt_update(ctx: StepContext, U: np.ndarray, dbeta) -> tuple[np.ndarray, int]:
     # a NaN max takes this branch too; the count skips NaN entries and the
     # clamp keeps them, so one NaN sample cannot stop another's clamp
     if arg.size and not arg.max() <= EXP_ARG_MAX:
+        # both terms overflowed (inf - inf, or inf * 0 at db = 0): f^2 tau/2
+        # outgrows f db, so the exact exponent is -inf there
+        arg[np.isnan(arg) & ~np.isnan(F) & ~np.isnan(db)] = -np.inf
         clamped = int(np.count_nonzero(arg > EXP_ARG_MAX))
         np.minimum(arg, EXP_ARG_MAX, out=arg)
     np.exp(arg, out=arg)
@@ -123,8 +127,8 @@ def evolve(ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarr
     is U's batch shape and stride is an int >= 1. The updates see incr
     read-only, so one that writes into it raises ValueError. Overflow and
     NaN are data, not warnings. Returns the summed LT exponent-clamp count.
-    The one caller of UPDATES[kind], looked up per call: step and run_path
-    come through here."""
+    The one caller of UPDATES[kind], looked up per call: run_path, the
+    drivers and the selftest's scalar check come through here."""
     U = ctx.op.grid.as_batch(U)
     if incr.ndim == 0 or incr.shape[:-1] != U.shape[:U.ndim - ctx.op.grid.d]:
         raise ValueError(f"increments of shape {incr.shape} do not fit fields of shape {U.shape}")
@@ -144,13 +148,7 @@ def evolve(ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarr
     return clamped
 
 
-# -- one field: a single step and the full-path driver ------------------------
-
-
-def step(kind: IntegratorKind, ctx: StepContext, u, dbeta: float) -> np.ndarray:
-    """One step of ``kind`` from the field u with the scalar increment dbeta,
-    run_path over that one increment; LT maps u >= 0 to u >= 0 for any tau."""
-    return run_path(kind, ctx, u, [float(dbeta)]).final
+# -- one field: the full-path driver -----------------------------------------
 
 
 @dataclass(eq=False)

@@ -16,8 +16,10 @@ package only what defines the experiment: the Brownian draws
 and the catalogue g and f. check_study and check_census are the package's
 only comparison with it: study rows to 1e-10 relative, every oracle error
 finite and > 0 and no sample diverged; census counts exact, LT keeping
-every path of every g and some comparator losing one. check_scalar_oracle
-checks one step of each integrator at N = 2 against the step definitions.
+every path of every g and some comparator losing one. check_scalar_oracle,
+the package's one scalar oracle, checks one step of each integrator at
+N = 2 against the step definitions: it steps one batch of 1000 one-point
+fields per (g, integrator) through evolve. tests/test_integrators.py calls it.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from .experiments import (
     positivity_census,
 )
 from .heat_operator import HeatOperator
-from .integrators import EXP_ARG_MAX, IntegratorKind, StepContext, step
+from .integrators import EXP_ARG_MAX, IntegratorKind, StepContext, evolve
 from .mesh import Grid, sample_initial, sine_initial
 from .noise_paths import coarsen_increments, sample_increment_batch
 from .nonlinearity import from_name
 
-LT, EM, SEM = IntegratorKind.LT, IntegratorKind.EM, IntegratorKind.SEM
+LT, EM, SEM, SEXP = IntegratorKind
 
 
 @dataclass
@@ -203,7 +205,8 @@ _SCALAR_G = {
 
 
 def check_scalar_oracle() -> CheckResult:
-    """N = 2 reduces every integrator to a scalar map with mu = -8;
+    """N = 2 reduces every integrator to a scalar map with mu = -8; step
+    1000 one-point fields as one batch per (g, kind) through evolve and
     compare against formulas written directly from the step definitions."""
     name = "scalar (N=2) one-step oracle, all integrators"
     rng = np.random.default_rng(106)
@@ -217,18 +220,18 @@ def check_scalar_oracle() -> CheckResult:
         ctx = StepContext(op, from_name(g_name, lam), tau)
         us = np.concatenate([rng.uniform(0.05, 2.0, 500), rng.uniform(-0.8, -0.05, 500)])
         dbs = rng.normal(0.0, math.sqrt(tau), 1000)
-        for u, db in zip(us, dbs):
-            fld = np.array([u])
-            f = f_hand(lam, u)
-            expect = {
-                IntegratorKind.LT: math.exp(-8 * tau) * u * math.exp(f * db - f * f * tau / 2),
-                IntegratorKind.EM: u + tau * (-8 * u) + g_hand(lam, u) * db,
-                IntegratorKind.SEM: (u + g_hand(lam, u) * db) / (1 + 8 * tau),
-                IntegratorKind.SEXP: math.exp(-8 * tau) * (u + g_hand(lam, u) * db),
-            }
-            for kind, ref in expect.items():
-                dev = abs(float(step(kind, ctx, fld, db)[0]) - ref) / max(1.0, abs(ref))
-                worst = np.maximum(worst, dev)  # max() would drop a NaN dev
+        expect = []  # rows (LT, EM, SEM, SEXP), one per point
+        for u, db in zip(us.tolist(), dbs.tolist()):
+            f, g = f_hand(lam, u), g_hand(lam, u)
+            expect.append((math.exp(-8 * tau) * u * math.exp(f * db - f * f * tau / 2),
+                           u + tau * (-8 * u) + g * db,
+                           (u + g * db) / (1 + 8 * tau),
+                           math.exp(-8 * tau) * (u + g * db)))
+        for kind, ref in zip((LT, EM, SEM, SEXP), np.array(expect).T):
+            fields = []
+            evolve(ctx, kind, us[:, None], dbs[:, None], 1, lambda i, U: fields.append(U))
+            dev = np.abs(fields[-1][:, 0] - ref) / np.maximum(1.0, np.abs(ref))
+            worst = np.maximum(worst, dev.max())  # max() would drop a NaN dev
     return CheckResult(name, bool(worst <= tol), f"max deviation {worst:.3e} (tol {tol:.0e})")
 
 

@@ -302,9 +302,10 @@ def test_selftest_fails_for_a_census_g_without_a_scalar_oracle(monkeypatch):
 
 
 def test_scalar_oracle_fails_on_a_nan_step(monkeypatch):
-    from spde_lab import selftest
+    from spde_lab import integrators, selftest
 
-    monkeypatch.setattr(selftest, "step", lambda kind, ctx, u, db: np.array([np.nan]))
+    monkeypatch.setitem(integrators.UPDATES, integrators.IntegratorKind.LT,
+                        lambda ctx, U, dbeta: (np.full_like(U, np.nan), 0))
     result = selftest.check_scalar_oracle()
     assert not result.passed
     assert result.detail == "max deviation nan (tol 1e-13)"

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import spde_lab
+from spde_lab import selftest
 from spde_lab.experiments import CENSUS_G
 from spde_lab.heat_operator import HeatFlow, HeatOperator
 from spde_lab.integrators import (
@@ -23,7 +25,6 @@ from spde_lab.integrators import (
     run_path,
     sem_update,
     sexp_update,
-    step,
 )
 from spde_lab.mesh import Grid, sample_initial, sine_initial
 from spde_lab.nonlinearity import CLI_NAMES, Nonlinearity, from_name
@@ -44,13 +45,13 @@ def make(grid_args, g_name, lam, tau):
 def test_em_hand_example():
     # N=2, tau=0.1, u=(1), linear lam=1, db=0.05: 1 + 0.1*(-8) + 0.05
     op, ctx = make((1, 2), "linear", 1.0, 0.1)
-    out = step(EM, ctx, np.array([1.0]), 0.05)
+    out = run_path(EM, ctx, np.array([1.0]), [0.05]).final
     assert out[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_sem_hand_example():
     op, ctx = make((1, 2), "linear", 1.0, 0.25)
-    out = step(SEM, ctx, np.array([1.0]), 0.0)
+    out = run_path(SEM, ctx, np.array([1.0]), [0.0]).final
     assert out[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
@@ -59,7 +60,7 @@ def test_lt_linear_one_step_closed_form():
     op, ctx = make((1, 32), "linear", 1.0, 0.125)
     u0 = sample_initial(sine_initial, op.grid)
     db = 0.21
-    got = step(LT, ctx, u0, db)
+    got = run_path(LT, ctx, u0, [db]).final
     want = math.exp(db - 0.125 / 2) * HeatFlow(op, 0.125).heat(u0)
     assert np.allclose(got, want, rtol=1e-13)
 
@@ -69,7 +70,7 @@ def test_zero_field_is_fixed_point(kind):
     for grid_args in ((1, 16), (2, 5)):
         op, ctx = make(grid_args, "rational", 2.5, 0.3)
         z = np.zeros(op.grid.shape)
-        out = step(kind, ctx, z, 0.37)
+        out = run_path(kind, ctx, z, [0.37]).final
         assert np.all(out == 0.0)
 
 
@@ -78,45 +79,33 @@ def test_zero_noise_reductions():
     rng = np.random.default_rng(4)
     u = rng.uniform(0, 1, 15)
     heat = HeatFlow(op, 0.2).heat(u)
-    assert np.array_equal(step(LT, ctx, u, 0.9), heat)
-    assert np.array_equal(step(SEXP, ctx, u, 0.9), heat)
-    assert np.array_equal(step(EM, ctx, u, 0.9), u + 0.2 * op.laplacian_array(u))
-    assert np.array_equal(step(SEM, ctx, u, 0.9), HeatFlow(op, 0.2).solve(u))
+    one = {kind: run_path(kind, ctx, u, [0.9]).final for kind in IntegratorKind}
+    assert np.array_equal(one[LT], heat)
+    assert np.array_equal(one[SEXP], heat)
+    assert np.array_equal(one[EM], u + 0.2 * op.laplacian_array(u))
+    assert np.array_equal(one[SEM], HeatFlow(op, 0.2).solve(u))
 
 
 # -- scalar oracle (independent formulas, N=2) --------------------------------
 
-HAND = {
-    "linear": (lambda lam, u: lam * u, lambda lam, u: lam),
-    "rational": (lambda lam, u: lam * u / (1 + u * u), lambda lam, u: lam / (1 + u * u)),
-    "sineplus": (
-        lambda lam, u: lam * (math.sin(u) + u),
-        lambda lam, u: lam * (math.sin(u) / u + 1),
-    ),
-    "log1p": (lambda lam, u: lam * math.log1p(u), lambda lam, u: lam * math.log1p(u) / u),
-}
+
+def test_scalar_oracle_all_integrators():
+    # the selftest's own check, every census g and integrator against the
+    # hand-written step formulas at N = 2
+    result = selftest.check_scalar_oracle()
+    assert result.passed, result.detail
 
 
-@pytest.mark.parametrize("g_name", sorted(HAND))
-def test_scalar_oracle_all_integrators(g_name):
-    lam, tau = 2.5, 0.25
-    op, ctx = make((1, 2), g_name, lam, tau)
-    g_hand, f_hand = HAND[g_name]
-    rng = np.random.default_rng(5)
-    us = np.concatenate([rng.uniform(0.05, 2.0, 500), rng.uniform(-0.8, -0.05, 500)])
-    dbs = rng.normal(0.0, math.sqrt(tau), 1000)
-    for u, db in zip(us, dbs):
-        fld = np.array([u])
-        f = f_hand(lam, u)
-        hand = {
-            LT: math.exp(-8 * tau) * u * math.exp(f * db - f * f * tau / 2),
-            EM: u - 8 * tau * u + g_hand(lam, u) * db,
-            SEM: (u + g_hand(lam, u) * db) / (1 + 8 * tau),
-            SEXP: math.exp(-8 * tau) * (u + g_hand(lam, u) * db),
-        }
-        for kind, want in hand.items():
-            got = float(step(kind, ctx, fld, db)[0])
-            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (kind, g_name, u, db)
+def test_scalar_oracle_steps_one_batch_per_g_and_integrator(monkeypatch):
+    calls = []
+
+    def counted(ctx, kind, U, incr, stride, visit):
+        calls.append((ctx.nl.name, kind, U.shape, incr.shape))
+        return evolve(ctx, kind, U, incr, stride, visit)
+
+    monkeypatch.setattr(selftest, "evolve", counted)
+    assert selftest.check_scalar_oracle().passed
+    assert calls == [(g, kind, (1000, 1), (1000, 1)) for g in CENSUS_G for kind in IntegratorKind]
 
 
 # -- positivity ---------------------------------------------------------------
@@ -135,11 +124,23 @@ def test_lt_paths_stay_nonnegative(g_name, grid_args, tau):
     assert not rec.diverged
 
 
+@pytest.mark.parametrize("g_name", CENSUS_G)
+@pytest.mark.parametrize("lam", [1e308, -1e308, sys.float_info.max])
+@pytest.mark.parametrize("db", [-2.0, 0.0, 0.5, 2.0])
+@pytest.mark.parametrize("d,N", [(1, 16), (1, 256), (2, 8)])
+def test_lt_stays_positive_where_its_exponent_overflows(d, N, db, lam, g_name):
+    # f db and f^2 tau/2 both overflow (inf - inf, or inf * 0 for sineplus's
+    # f(0) = 2 lam at db = 0); the exact noise subflow's exponent is -inf
+    op, ctx = make((d, N), g_name, lam, 2.0**-3)
+    rec = run_path(LT, ctx, sample_initial(sine_initial, op.grid), [db, -db, db])
+    assert rec.positive, rec.running_min
+
+
 def test_sexp_can_go_negative():
     # u + g(u) db < 0 for linear g once db < -1
     op, ctx = make((1, 16), "linear", 1.0, 0.1)
     u0 = sample_initial(sine_initial, op.grid)
-    out = step(SEXP, ctx, u0, -1.5)
+    out = run_path(SEXP, ctx, u0, [-1.5]).final
     assert out.min() < 0.0
 
 
@@ -236,24 +237,24 @@ def test_lt_linear_step_size_independence():
 @pytest.mark.parametrize("kind", list(IntegratorKind))
 @pytest.mark.parametrize("d,N", [(1, 16), (1, 256), (2, 8)])
 def test_run_path_single_step_equals_kernel(d, N, kind):
-    # step goes through run_path and evolve, and reaches the kernel with the
-    # arguments it was called with before: the bits do not move
+    # run_path over one increment reaches the kernel through evolve with the
+    # arguments it was called with: the bits do not move
     op, ctx = make((d, N), "rational", 2.5, 0.2)
     u0 = sample_initial(sine_initial, op.grid)
-    got = step(kind, ctx, u0, 0.3)
-    assert same_bits(got, UPDATES[kind](ctx, u0, 0.3)[0])
     rec = run_path(kind, ctx, u0, np.array([0.3]))
     assert len(rec.sup_norms) == 2
-    assert same_bits(got, rec.final)
+    assert same_bits(rec.final, UPDATES[kind](ctx, u0, 0.3)[0])
 
 
 @pytest.mark.parametrize("kind", list(IntegratorKind))
 def test_step_on_an_overflowing_field_returns_what_run_path_returns(kind):
-    # overflow is data under evolve's errstate, for step as for run_path;
-    # pytest turns a RuntimeWarning into an error
+    # overflow is data under evolve's errstate; pytest turns a RuntimeWarning
+    # into an error
     op, ctx = make((1, 8), "rational", 1.0, 0.25)
     u = np.full(7, 1e300)
-    assert same_bits(step(kind, ctx, u, 0.5), run_path(kind, ctx, u, [0.5]).final)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = UPDATES[kind](ctx, u, 0.5)[0]
+    assert same_bits(run_path(kind, ctx, u, [0.5]).final, want)
 
 
 def test_run_path_full_trajectory_consistent_with_summary():
@@ -306,8 +307,6 @@ def test_run_path_validates_input():
     with pytest.raises(ValueError, match=re.escape("field of shape (3,) does not match the "
                                                    "grid's shape (7,)")):
         run_path(IntegratorKind.LT, ctx, np.zeros(3), np.array([0.1]))
-    with pytest.raises(ValueError, match=re.escape("field of shape (3,) does not match")):
-        step(IntegratorKind.LT, ctx, np.zeros(3), 0.1)
 
 
 def test_moment_sanity_small():
@@ -435,7 +434,7 @@ def test_run_path_full_trajectory_entries_are_distinct(kind):
         assert not any(np.shares_memory(a, b) for b in values[i + 1:])
     u = u0
     for m, db in enumerate(incr):
-        u = step(kind, ctx, u, db)
+        u = run_path(kind, ctx, u, [db]).final
         assert same_bits(values[m + 1], u)
 
 
