@@ -441,9 +441,10 @@ def _run_checkpointed(
     cps = np.empty((U.shape[0], incr.shape[1] // stride + 1) + U.shape[1:])
 
     def store(i: int, U: np.ndarray) -> None:
-        cps[:, i // stride] = U
+        if i % stride == 0:
+            cps[:, i // stride] = U
 
-    evolve(ctx, kind, U, incr, stride, store)
+    evolve(ctx, kind, U, incr, store)
     finite = np.isfinite(cps[:, 1:]).all(axis=tuple(range(1, cps.ndim)))
     return cps, finite
 
@@ -460,7 +461,7 @@ def _count_positive(ctx, kind, start, incr, stride, ref) -> dict:
         np.minimum(running_min, np.min(U, axis=axes), out=running_min)
         np.logical_and(finite, np.isfinite(U).all(axis=axes), out=finite)
 
-    evolve(ctx, kind, start, incr, 1, track)
+    evolve(ctx, kind, start, incr, track)
     positive = finite & (running_min >= 0.0)
     return {"positive": int(positive.sum()), "diverged": int((~finite).sum())}
 

@@ -141,15 +141,6 @@ class HeatOperator:
             return x.reshape(rhs.shape)
         return self.sine_transform(self.sine_transform(rhs) / factor)
 
-    def eigenvector(self, k: int) -> np.ndarray:
-        """Orthonormal sine mode v_k(n) = sqrt(2h) sin(k pi n h), 1d only."""
-        if self.grid.d != 1:
-            raise ValueError("per-axis eigenvectors are 1d; take products in 2d")
-        if not 1 <= k <= self.grid.N - 1:
-            raise ValueError(f"mode index must be in 1..{self.grid.N - 1}")
-        x = self.grid.axis_coords()
-        return np.sqrt(2.0 * self.grid.h) * np.sin(k * np.pi * x)
-
 
 class HeatFlow:
     """heat(arr) = e^{tau N^2 D^N} arr and solve(arr) = (I - tau N^2 D^N)^{-1}

@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .heat_operator import HeatFlow, HeatOperator
-from .mesh import check_int
 from .nonlinearity import Nonlinearity
 
 # Exponent guard: |f| <= Lip(g) makes f*db - f^2 tau/2 small at sane
@@ -119,21 +118,19 @@ UPDATES = {
 
 
 def evolve(ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarray,
-           stride: int, visit: Callable[[int, np.ndarray], None]) -> int:
+           visit: Callable[[int, np.ndarray], None]) -> int:
     """Step U along the last axis of incr: one field with incr (M,), or a
     batch (B, *grid) with incr (B, M). visit(0, U) sees the start field and
-    visit(i, U) the field after every stride-th step i; it must not write
-    into U. Raises ValueError, before any step, unless incr's leading shape
-    is U's batch shape and stride is an int >= 1. The updates see incr
-    read-only, so one that writes into it raises ValueError. Overflow and
-    NaN are data, not warnings. Returns the summed LT exponent-clamp count.
+    visit(i, U) the field after every step i = 1..M; it must not write into
+    U. Raises ValueError, before any step, unless incr's leading shape is
+    U's batch shape. The updates see incr read-only, so one that writes
+    into it raises ValueError. Overflow and NaN are data, not warnings.
+    Returns the summed LT exponent-clamp count.
     The one caller of UPDATES[kind], looked up per call: run_path, the
     drivers and the selftest's scalar check come through here."""
     U = ctx.op.grid.as_batch(U)
     if incr.ndim == 0 or incr.shape[:-1] != U.shape[:U.ndim - ctx.op.grid.d]:
         raise ValueError(f"increments of shape {incr.shape} do not fit fields of shape {U.shape}")
-    if check_int("stride", stride) < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
     update = UPDATES[kind]
     incr = incr.view()
     incr.setflags(write=False)
@@ -143,8 +140,7 @@ def evolve(ctx: StepContext, kind: IntegratorKind, U: np.ndarray, incr: np.ndarr
         for m in range(incr.shape[-1]):
             U, c = update(ctx, U, incr[..., m])
             clamped += c
-            if (m + 1) % stride == 0:
-                visit(m + 1, U)
+            visit(m + 1, U)
     return clamped
 
 
@@ -202,7 +198,7 @@ def run_path(kind: IntegratorKind, ctx: StepContext, u0, increments) -> PathReco
 
     # one path per call, bitwise as a single update: as a row of a larger
     # batch it would go through gemm, not gemv, on the 1d matmul path
-    clamp_events = evolve(ctx, kind, u0, increments.reshape(-1), 1, track)
+    clamp_events = evolve(ctx, kind, u0, increments.reshape(-1), track)
     return PathRecord(running_min, sup_norms, final, diverged_step, clamp_events)
 
 

@@ -109,7 +109,11 @@ def _sine_plus(lam: float) -> Nonlinearity:
         np.put(out, live, np.sin(x) + x)
         return lam * out
 
-    return Nonlinearity("sineplus", lam, g=g, f=_ratio_with_limit(g, 2.0 * lam))
+    # f(0) = 2 lam is inf for a lam past half the float maximum; a numpy
+    # scalar would warn where a Python float overflows silently
+    with np.errstate(over="ignore"):
+        gprime0 = 2.0 * lam
+    return Nonlinearity("sineplus", lam, g=g, f=_ratio_with_limit(g, gprime0))
 
 
 def _log1p(lam: float) -> Nonlinearity:

@@ -8,7 +8,8 @@ steps a batch of flattened fields one step at a time, in dense_checkpoints:
   entries set to zero (the heat kernel is entrywise nonnegative);
 * SEM multiplies by the dense inverse of I - tau A;
 * EM multiplies by A itself;
-* LT is u * exp(f db - f^2 tau / 2), the exponent clamped at EXP_ARG_MAX.
+* LT is u * exp(f db - f^2 tau / 2), the exponent clamped at EXP_ARG_MAX
+  and -inf where f^2 tau / 2 overflows.
 
 It is independent of HeatOperator and the step kernels. It shares with the
 package only what defines the experiment: the Brownian draws
@@ -83,7 +84,11 @@ class DenseSteps:
         db = db[:, None]
         if kind is LT:
             F = self.nl.f(U)
-            arg = np.minimum(F * db - 0.5 * self.tau * F * F, EXP_ARG_MAX)
+            quad = 0.5 * self.tau * F * F
+            arg = np.minimum(F * db - quad, EXP_ARG_MAX)
+            # f db - f^2 tau/2 -> -inf as f grows at a fixed db, so where
+            # f^2 tau/2 overflows the exponent is -inf (not inf - inf or inf * 0)
+            arg = np.where(np.isinf(quad) & ~np.isnan(db), -np.inf, arg)
             return (U * np.exp(arg)) @ self.E.T
         if kind is EM:
             return U + self.tau * (U @ self.A.T) + self.nl.g(U) * db
@@ -229,7 +234,7 @@ def check_scalar_oracle() -> CheckResult:
                            math.exp(-8 * tau) * (u + g * db)))
         for kind, ref in zip((LT, EM, SEM, SEXP), np.array(expect).T):
             fields = []
-            evolve(ctx, kind, us[:, None], dbs[:, None], 1, lambda i, U: fields.append(U))
+            evolve(ctx, kind, us[:, None], dbs[:, None], lambda i, U: fields.append(U))
             dev = np.abs(fields[-1][:, 0] - ref) / np.maximum(1.0, np.abs(ref))
             worst = np.maximum(worst, dev.max())  # max() would drop a NaN dev
     return CheckResult(name, bool(worst <= tol), f"max deviation {worst:.3e} (tol {tol:.0e})")

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spde_lab import cli, experiments
@@ -32,7 +32,7 @@ from spde_lab.experiments import (
     write_report,
 )
 from spde_lab.heat_operator import HeatFlow, HeatOperator, PositivityDiagnosticsError
-from spde_lab.integrators import UPDATES, IntegratorKind, StepContext, run_path
+from spde_lab.integrators import UPDATES, IntegratorKind, StepContext, evolve, run_path
 from spde_lab.mesh import Grid, sample_initial, sine_initial
 from spde_lab.nonlinearity import from_name
 
@@ -296,6 +296,27 @@ def test_census_zero_noise_stable_em_is_positive():
     cfg = CensusConfig(g_names=("zero",), N=4, samples=3, master_seed=1)
     rep = positivity_census(cfg)
     assert rep.positive_counts()[("em", "zero")] == 3
+
+
+def linear_rule_count(cfg):
+    """Paths whose every step factor 1 + lambda dbeta_k is >= 0. For g(v) =
+    lambda v, SEM and SEXP multiply the field by that factor and then apply
+    a nonnegative operator, so these are exactly their positive paths."""
+    incr = experiments.sample_increment_batch(cfg.T, path_level(cfg.T, cfg.level),
+                                              cfg.master_seed, range(cfg.samples))
+    return int(np.all(1.0 + cfg.lam * incr >= 0.0, axis=1).sum())
+
+
+@pytest.mark.parametrize("d,N", [(1, 16), (1, 64), (1, 256), (2, 8), (2, 16)])
+@settings(max_examples=25)
+@given(level=st.integers(1, 9), lam=st.floats(-6.0, 6.0), seed=st.integers(0, 2**64 - 1))
+@example(level=5, lam=2.5, seed=42)  # the stored census's tau, lambda and seed
+def test_linear_census_rows_follow_the_increment_rule(d, N, level, lam, seed):
+    cfg = CensusConfig(d=d, N=N, tau=2.0**-level, g_names=("linear",), lam=lam, samples=40,
+                       master_seed=seed, integrators=(SEM, SEXP))
+    rows = {row[0]: (row[7], row[8]) for row in positivity_census(cfg).rows}
+    rule = linear_rule_count(cfg)
+    assert rows == {"sem": (rule, 0), "sexp": (rule, 0)}
 
 
 def test_census_reproducible_and_seed_sensitive():
@@ -725,6 +746,21 @@ def test_run_checkpointed_matches_reference_loop_bitwise(kind, d, N):
     assert cps.shape == want_cps.shape and cps.tobytes() == want_cps.tobytes()
     assert finite.tolist() == want_finite.tolist()
     assert finite.tolist() == [True, kind is not IntegratorKind.EM, False, True]
+
+
+@pytest.mark.parametrize("stride", [1, 3, 4, 5])
+def test_run_checkpointed_stores_the_fields_at_every_stride_th_step(stride):
+    # evolve visits every field; _run_checkpointed keeps steps 0, s, 2s, ...
+    ctx, u0 = oracle_setup(1, 16)
+    incr = oracle_increments(4, 24)
+    U = np.broadcast_to(u0, (4,) + u0.shape)
+    fields = []
+    evolve(ctx, SEXP, U, incr, lambda i, V: fields.append(V.copy()))
+    cps, finite = _run_checkpointed(ctx, SEXP, U, incr, stride)
+    kept = fields[::stride]
+    assert cps.shape == (4, len(kept)) + u0.shape
+    assert all(cps[:, k].tobytes() == field.tobytes() for k, field in enumerate(kept))
+    assert finite.tolist() == [bool(np.isfinite(cps[b, 1:]).all()) for b in range(4)]
 
 
 # -- the coupled studies pinned against their loops before _coupled_sums

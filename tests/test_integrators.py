@@ -99,9 +99,9 @@ def test_scalar_oracle_all_integrators():
 def test_scalar_oracle_steps_one_batch_per_g_and_integrator(monkeypatch):
     calls = []
 
-    def counted(ctx, kind, U, incr, stride, visit):
+    def counted(ctx, kind, U, incr, visit):
         calls.append((ctx.nl.name, kind, U.shape, incr.shape))
-        return evolve(ctx, kind, U, incr, stride, visit)
+        return evolve(ctx, kind, U, incr, visit)
 
     monkeypatch.setattr(selftest, "evolve", counted)
     assert selftest.check_scalar_oracle().passed
@@ -429,7 +429,7 @@ def test_run_path_full_trajectory_entries_are_distinct(kind):
     u0 = sample_initial(sine_initial, op.grid)
     incr = np.random.default_rng(43).normal(0.0, 2.0**-2.5, 6)
     values = []
-    evolve(ctx, kind, u0, incr, 1, lambda i, U: values.append(U))
+    evolve(ctx, kind, u0, incr, lambda i, U: values.append(U))
     for i, a in enumerate(values):
         assert not any(np.shares_memory(a, b) for b in values[i + 1:])
     u = u0
@@ -445,7 +445,7 @@ def path_fields(kind, ctx, u0, increments):
     """Every field of a one-path run, the start field first, as flat copies
     captured through evolve's visitor on run_path's one-field shape."""
     fields = []
-    evolve(ctx, kind, u0, np.asarray(increments, dtype=np.float64), 1,
+    evolve(ctx, kind, u0, np.asarray(increments, dtype=np.float64),
            lambda i, U: fields.append(U.reshape(-1).copy()))
     return fields
 
@@ -517,26 +517,39 @@ def test_evolve_looks_up_update_per_call(monkeypatch, kind):
 
     monkeypatch.setitem(UPDATES, kind, counted)
     incr = np.random.default_rng(5).normal(0.0, 0.25, (2, 8))
-    visits = []
-    evolve(ctx, kind, np.ones((2, 15)), incr, 4, lambda i, U: visits.append(i))
+    evolve(ctx, kind, np.ones((2, 15)), incr, lambda i, U: None)
     assert len(calls) == 8
-    assert visits == [0, 4, 8]
 
 
-@pytest.mark.parametrize("U_shape,incr_shape,stride,message", [
-    ((7,), (3, 4), 1, "increments of shape (3, 4) do not fit fields of shape (7,)"),
-    ((5, 7), (1, 4), 1, "increments of shape (1, 4) do not fit fields of shape (5, 7)"),
-    ((5, 7), (5,), 1, "increments of shape (5,) do not fit fields of shape (5, 7)"),
-    ((7,), (4,), 0, "stride must be >= 1, got 0"),
-    ((7,), (4,), -1, "stride must be >= 1, got -1"),
-    ((7,), (4,), 1.5, "stride takes integers, got 1.5"),
-    ((7,), (4,), True, "stride takes integers, got True"),
-], ids=["field-3-paths", "batch-1-path", "batch-no-step-axis", "stride-0", "stride-neg",
-        "stride-float", "stride-bool"])
-def test_evolve_rejects_a_bad_call_before_any_update(monkeypatch, U_shape, incr_shape, stride,
-                                                     message):
-    # a field with a batch of paths became a batch, one path drove a whole
-    # batch, and a stride below 1 divided by zero or skipped every visit
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+@pytest.mark.parametrize("U_shape,incr_shape", [((15,), (6,)), ((3, 15), (3, 6))],
+                         ids=["field", "batch"])
+def test_evolve_visits_every_field_once_in_order(kind, U_shape, incr_shape):
+    # visit(0) sees the start field, and visit(i) the field that the i-th
+    # update returned, for a field and for a batch alike
+    op, ctx = make((1, 16), "rational", 1.0, 2.0**-4)
+    rng = np.random.default_rng(9)
+    U0 = rng.uniform(0.0, 1.5, U_shape)
+    incr = rng.normal(0.0, 0.25, incr_shape)
+    visits = []
+    evolve(ctx, kind, U0, incr, lambda i, U: visits.append((i, U.copy())))
+    assert [i for i, _ in visits] == list(range(7))
+    U = op.grid.as_batch(U0)
+    assert same_bits(visits[0][1], U)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for m, (_, field) in enumerate(visits[1:]):
+            U, _ = UPDATES[kind](ctx, U, incr[..., m])
+            assert same_bits(field, U)
+
+
+@pytest.mark.parametrize("U_shape,incr_shape,message", [
+    ((7,), (3, 4), "increments of shape (3, 4) do not fit fields of shape (7,)"),
+    ((5, 7), (1, 4), "increments of shape (1, 4) do not fit fields of shape (5, 7)"),
+    ((5, 7), (5,), "increments of shape (5,) do not fit fields of shape (5, 7)"),
+], ids=["field-3-paths", "batch-1-path", "batch-no-step-axis"])
+def test_evolve_rejects_a_bad_call_before_any_update(monkeypatch, U_shape, incr_shape, message):
+    # a field with a batch of paths became a batch, and one path drove a
+    # whole batch
     op, ctx = make((1, 8), "rational", 1.0, 0.25)
 
     def never(*args):
@@ -544,7 +557,7 @@ def test_evolve_rejects_a_bad_call_before_any_update(monkeypatch, U_shape, incr_
 
     monkeypatch.setitem(UPDATES, LT, never)
     with pytest.raises(ValueError, match=re.escape(message)):
-        evolve(ctx, LT, np.ones(U_shape), np.ones(incr_shape), stride, never)
+        evolve(ctx, LT, np.ones(U_shape), np.ones(incr_shape), never)
 
 
 def updates_subscripts(tree):
@@ -564,8 +577,8 @@ def updates_subscripts(tree):
 
 
 def test_only_evolve_subscripts_updates():
-    # evolve owns the step contract (errstate, read-only increments, shape
-    # and stride checks), so no other code in the package reaches a kernel
+    # evolve owns the step contract (errstate, read-only increments, the
+    # shape check), so no other code in the package reaches a kernel
     # through UPDATES[kind]
     assert updates_subscripts(ast.parse("def f():\n    return integrators.UPDATES[k]")) == ["f"]
     found = [(path.name, fn) for path in sorted(Path(spde_lab.__file__).parent.glob("*.py"))
@@ -624,7 +637,7 @@ def test_evolve_batch_rows_equal_run_path_bitwise(d, N, kind, g_name, level, row
     U0 = rng.uniform(0.0, 1.5, (rows,) + op.grid.shape)
     incr = rng.normal(0.0, math.sqrt(ctx.tau), (rows, 6))
     fields = []
-    evolve(ctx, kind, U0.copy(), incr, 1, lambda i, U: fields.append(U.copy()))
+    evolve(ctx, kind, U0.copy(), incr, lambda i, U: fields.append(U.copy()))
     for b in range(rows):
         u0 = U0[b]
         path = path_fields(kind, ctx, u0, incr[b])

@@ -131,6 +131,16 @@ def test_the_catalogue_is_built_only_through_from_name():
         from_name("rational", float("nan"))
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("lam", [float(np.finfo(np.float64).max), np.finfo(np.float64).max],
+                         ids=["python-float", "numpy-scalar"])
+def test_a_lambda_at_the_float_maximum_builds_without_a_warning(name, lam):
+    # sineplus's f(0) = 2 lam overflows to inf, silently for either type of lam
+    nl = from_name(name, lam)
+    if name == "sineplus":
+        assert nl.f(0.0) == np.inf
+
+
 def test_from_name_rejects_unknown():
     with pytest.raises(ValueError, match="unknown nonlinearity"):
         from_name("cubic", 1.0)
