@@ -11,10 +11,11 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spde_lab import cli, experiments
+from spde_lab import cli, experiments, selftest
 from spde_lab.experiments import (
     CENSUS_COLUMNS,
     CENSUS_G,
@@ -31,10 +32,12 @@ from spde_lab.experiments import (
     positivity_census,
     write_report,
 )
-from spde_lab.heat_operator import HeatFlow, HeatOperator, PositivityDiagnosticsError
+from spde_lab.heat_operator import HeatOperator, PositivityDiagnosticsError
 from spde_lab.integrators import UPDATES, IntegratorKind, StepContext, evolve, run_path
 from spde_lab.mesh import Grid, sample_initial, sine_initial
 from spde_lab.nonlinearity import from_name
+
+from helpers import oracle_increments, same_bits
 
 LT, EM, SEM, SEXP = (
     IntegratorKind.LT,
@@ -659,19 +662,11 @@ def test_config_echo_lists_every_field_but_the_seed_in_order(tmp_path):
     assert mesh.config_echo["N"] == "8,16"
 
 
-# -- the census loop and _run_checkpointed pinned against the hand-written loops
+# -- the census and the studies against the dense oracle; _run_checkpointed
+# against the fields evolve visits
 
 
 ORACLE_SHAPES = [(1, 256), (1, 16), (2, 16)]
-
-
-def oracle_increments(B, M, poison=np.nan, tau=2.0**-5, seed=23):
-    """Row 1 jumps by 1e300 at step 2, which makes EM overflow within 24
-    steps at every oracle shape; row 2 takes ``poison`` at step 5."""
-    incr = np.random.default_rng(seed).normal(0.0, math.sqrt(tau), (B, M))
-    incr[1, 2] = 1e300
-    incr[2, 5] = poison
-    return incr
 
 
 def oracle_setup(d, N, tau=2.0**-5):
@@ -681,186 +676,141 @@ def oracle_setup(d, N, tau=2.0**-5):
     return ctx, u0
 
 
-def reference_census_counts(ctx, u0, incr, kinds):
-    """The census block loop as it was before evolve."""
-    B, M = incr.shape
-    axes = tuple(range(1, 1 + u0.ndim))
-    out = {}
-    for kind in kinds:
-        update = UPDATES[kind]
-        U = np.broadcast_to(u0, (B,) + u0.shape).copy()
-        running_min = np.full(B, np.min(u0))
-        finite = np.ones(B, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            for m in range(M):
-                U, _ = update(ctx, U, incr[:, m])
-                running_min = np.minimum(running_min, np.min(U, axis=axes))
-                finite &= np.isfinite(U).all(axis=axes)
-        positive = finite & (running_min >= 0.0)
-        out[kind.value] = (int(positive.sum()), int((~finite).sum()))
-    return out
-
-
-def reference_run_checkpointed(ctx, kind, U, incr, stride):
-    """_run_checkpointed as it was before evolve."""
-    B, M = incr.shape
-    axes = tuple(range(1, U.ndim))
-    cps = np.empty((B, M // stride + 1) + U.shape[1:])
-    cps[:, 0] = U
-    finite = np.ones(B, dtype=bool)
-    update = UPDATES[kind]
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for m in range(M):
-            U, _ = update(ctx, U, incr[:, m])
-            if (m + 1) % stride == 0:
-                cps[:, (m + 1) // stride] = U
-                finite &= np.isfinite(U).all(axis=axes)
-    return cps, finite
-
-
 @pytest.mark.parametrize("d,N", ORACLE_SHAPES)
-def test_census_matches_reference_loop(monkeypatch, d, N):
+def test_census_matches_dense_oracle_on_poisoned_increments(monkeypatch, d, N):
     cfg = CensusConfig(d=d, N=N, T=1.0, g_names=("linear",), samples=4, master_seed=3)
     # row 2 takes inf: LT clamps its exponent, and it makes the comparators'
     # fields NaN one step later
     incr = oracle_increments(cfg.samples, 2 ** path_level(cfg.T, cfg.level), poison=np.inf)
-    monkeypatch.setattr(experiments, "sample_increment_batch",
-                        lambda T, level, seed, block: incr[block.start:block.stop].copy())
-    report = positivity_census(cfg, jobs=1)
-    got = {row[0]: (row[7], row[8]) for row in report.rows}
-    ctx, u0 = oracle_setup(d, N)
-    assert got == reference_census_counts(ctx, u0, incr, cfg.integrators)
-    assert got["lt"] == (4, 0)  # the inf exponent is clamped
-    assert got["em"][1] == 2 and got["sem"][1] == got["sexp"][1] == 1
+
+    def draw(T, level, seed, block):
+        return incr[block.start:block.stop].copy()
+
+    monkeypatch.setattr(experiments, "sample_increment_batch", draw)
+    monkeypatch.setattr(selftest, "sample_increment_batch", draw)
+    got = {(row[0], row[1]): (row[7], row[8]) for row in positivity_census(cfg, jobs=1).rows}
+    assert got == selftest.dense_census(cfg)
+    assert got["lt", "linear"] == (4, 0)  # the inf exponent is clamped
+    assert got["em", "linear"][1] == 2 and got["sem", "linear"][1] == got["sexp", "linear"][1] == 1
 
 
 @pytest.mark.parametrize("kind", list(IntegratorKind))
 @pytest.mark.parametrize("d,N", ORACLE_SHAPES)
-def test_run_checkpointed_matches_reference_loop_bitwise(kind, d, N):
-    ctx, u0 = oracle_setup(d, N)
-    incr = oracle_increments(4, 24)
-    U = np.broadcast_to(u0, (4,) + u0.shape).copy()
-    U.setflags(write=False)
-    cps, finite = _run_checkpointed(ctx, kind, U, incr, 4)
-    want_cps, want_finite = reference_run_checkpointed(ctx, kind, U, incr, 4)
-    assert cps.shape == want_cps.shape and cps.tobytes() == want_cps.tobytes()
-    assert finite.tolist() == want_finite.tolist()
-    assert finite.tolist() == [True, kind is not IntegratorKind.EM, False, True]
-
-
 @pytest.mark.parametrize("stride", [1, 3, 4, 5])
-def test_run_checkpointed_stores_the_fields_at_every_stride_th_step(stride):
+def test_run_checkpointed_stores_the_fields_at_every_stride_th_step(stride, d, N, kind):
     # evolve visits every field; _run_checkpointed keeps steps 0, s, 2s, ...
-    ctx, u0 = oracle_setup(1, 16)
+    ctx, u0 = oracle_setup(d, N)
     incr = oracle_increments(4, 24)
     U = np.broadcast_to(u0, (4,) + u0.shape)
     fields = []
-    evolve(ctx, SEXP, U, incr, lambda i, V: fields.append(V.copy()))
-    cps, finite = _run_checkpointed(ctx, SEXP, U, incr, stride)
+    evolve(ctx, kind, U, incr, lambda i, V: fields.append(V.copy()))
+    cps, finite = _run_checkpointed(ctx, kind, U, incr, stride)
     kept = fields[::stride]
     assert cps.shape == (4, len(kept)) + u0.shape
     assert all(cps[:, k].tobytes() == field.tobytes() for k, field in enumerate(kept))
     assert finite.tolist() == [bool(np.isfinite(cps[b, 1:]).all()) for b in range(4)]
+    assert finite.tolist() == [True, kind is not EM, False, True]
 
 
-# -- the coupled studies pinned against their loops before _coupled_sums
-
-
-def reference_blocks(cfg, level):
-    """(B, increments at path level ``level``) per block, in block order."""
-    for start in range(0, cfg.samples, experiments.BLOCK_SAMPLES):
-        block = range(start, min(start + experiments.BLOCK_SAMPLES, cfg.samples))
-        yield len(block), experiments.sample_increment_batch(cfg.T, level, cfg.master_seed, block)
-
-
-def reference_study_setup(cfg):
-    grid = Grid(cfg.d, cfg.N)
-    op = HeatOperator(grid)
-    nl = from_name(cfg.g_name, cfg.lam)
-    u0 = sample_initial(sine_initial, grid)
+def dense_runs(cfg, fine_level):
+    """(kind, level) -> selftest.dense_checkpoints of every sample of cfg,
+    on the paths the drivers draw at fine_level, and those paths."""
+    incr = experiments.sample_increment_batch(cfg.T, fine_level, cfg.master_seed,
+                                              range(cfg.samples))
+    A = selftest.dense_laplacian(cfg.d, cfg.N)
     M0 = 2 ** path_level(cfg.T, cfg.levels[0])
-    contexts = {j: StepContext(op, nl, 2.0**-j) for j in cfg.levels}
-    return op, u0, M0, contexts
+    runs = {}
+    for j in cfg.levels:
+        incr_j = experiments.coarsen_increments(incr, fine_level, path_level(cfg.T, j))
+        steps = selftest.DenseSteps(A, from_name(cfg.g_name, cfg.lam), 2.0**-j)
+        for kind in cfg.integrators:
+            runs[kind, j] = selftest.dense_checkpoints(steps, kind, selftest.initial_batch(cfg),
+                                                       incr_j, incr_j.shape[1] // M0)
+    return runs, incr
 
 
-def tile(u0, B):
-    return np.broadcast_to(u0, (B,) + u0.shape).copy()
-
-
-def reference_moment_profiles(cfg):
-    """moment_bound_study as it was before it became the study against the
-    zero field."""
-    fine_level = path_level(cfg.T, max(cfg.levels))
-    _, u0, M0, contexts = reference_study_setup(cfg)
-    total = {}
-    for B, incr_fine in reference_blocks(cfg, fine_level):
-        for j in cfg.levels:
-            incr_j = experiments.coarsen_increments(incr_fine, fine_level, path_level(cfg.T, j))
-            cps, finite = reference_run_checkpointed(
-                contexts[j], LT, tile(u0, B), incr_j, incr_j.shape[1] // M0
-            )
-            assert finite.all()
-            part = np.sum(cps * cps, axis=0)
-            total[j] = total[j] + part if j in total else part
-    axes = tuple(range(1, 1 + cfg.d))
-    return {j: np.max(total[j], axis=axes) / cfg.samples for j in cfg.levels}
-
-
-def reference_exact_linear_errors(cfg):
-    """(integrator, level) -> rms_sup_error of an exact-linear study, with
-    the exact solution written inline as the study had it."""
-    fine_level = path_level(cfg.T, cfg.ref_level)
-    op, u0, M0, contexts = reference_study_setup(cfg)
-    cp_times = np.arange(M0 + 1) * (cfg.T / M0)
-    heat = np.empty((cp_times.size,) + op.grid.shape)
-    for i, t in enumerate(cp_times):
-        heat[i] = u0 if t == 0 else HeatFlow(op, float(t)).heat(u0)
-    sq, used = {}, {}
-    for B, incr_fine in reference_blocks(cfg, fine_level):
-        betas = np.cumsum(incr_fine, axis=1)
-        stride = incr_fine.shape[1] // M0
-        beta_cp = np.concatenate([np.zeros((B, 1)), betas[:, stride - 1 :: stride]], axis=1)
-        factors = np.exp(cfg.lam * beta_cp - 0.5 * cfg.lam**2 * cp_times)
-        ref_cp = factors.reshape(factors.shape + (1,) * cfg.d) * heat
-        for j in cfg.levels:
-            incr_j = experiments.coarsen_increments(incr_fine, fine_level, path_level(cfg.T, j))
-            for kind in cfg.integrators:
-                cps, finite = reference_run_checkpointed(
-                    contexts[j], kind, tile(u0, B), incr_j, incr_j.shape[1] // M0
-                )
-                diff = cps[finite] - ref_cp[finite]
-                part = np.sum(diff * diff, axis=0)
-                key = kind.value, j
-                sq[key] = sq[key] + part if key in sq else part
-                used[key] = used.get(key, 0) + int(finite.sum())
-    return {key: math.sqrt(float(np.max(sq[key])) / used[key]) for key in sq}
-
-
-@pytest.mark.parametrize("jobs", [1, 3])
 @pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
-def test_moment_study_matches_reference_loop_bitwise(d, N, jobs):
+def test_moment_study_matches_dense_lt_runs(d, N):
     cfg = ConvergenceConfig(d=d, N=N, g_name="rational", lam=1.5, levels=(3, 4, 5),
-                            ref_level=8, samples=104, master_seed=3)
-    got = moment_bound_study(cfg, jobs=jobs)
-    want = reference_moment_profiles(cfg)
-    assert list(got) == list(want) == [3, 4, 5]
-    for j in want:
-        assert got[j].shape == want[j].shape and got[j].tobytes() == want[j].tobytes()
+                            ref_level=8, samples=104, master_seed=3, integrators=(LT,))
+    got = moment_bound_study(cfg, jobs=1)
+    forked = moment_bound_study(cfg, jobs=3)
+    assert list(got) == list(forked) == [3, 4, 5]
+    assert all(same_bits(got[j], forked[j]) for j in got)
+    runs, _ = dense_runs(cfg, path_level(cfg.T, max(cfg.levels)))
+    for j in cfg.levels:
+        cps, finite = runs[LT, j]
+        assert finite.all()
+        want = np.max(np.sum(cps * cps, axis=0), axis=1) / cfg.samples
+        np.testing.assert_allclose(got[j], want, rtol=1e-10, atol=0)
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
 @pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
-def test_exact_linear_study_matches_inline_reference_bitwise(d, N, jobs):
-    # lam**2 != lam*lam in the last bit at 2.759, so the exponent form is pinned too
+def test_exact_linear_study_matches_dense_runs(d, N):
     cfg = ConvergenceConfig(d=d, N=N, g_name="linear", lam=2.759, levels=(3, 4, 5), ref_level=7,
                             samples=104, master_seed=9, reference="exact_linear",
                             integrators=(LT, SEM, SEXP))
-    rep = mean_square_error_study(cfg, jobs=jobs)
-    got = {(row[0], row[5]): row[7] for row in rep.rows}
-    want = reference_exact_linear_errors(cfg)
-    assert got.keys() == want.keys()
-    assert all(np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes() for k in want)
+    rep = mean_square_error_study(cfg, jobs=1)
+    forked = mean_square_error_study(cfg, jobs=3)
+    assert rep.rows == forked.rows and rep.slopes == forked.slopes
     assert not rep.diverged
+    got = {(row[0], row[5]): row[7] for row in rep.rows}
+    runs, incr = dense_runs(cfg, path_level(cfg.T, cfg.ref_level))
+    # the exact solution expm(t A) u0 exp(lam beta(t) - lam^2 t / 2) at the checkpoints
+    M0 = 2 ** path_level(cfg.T, cfg.levels[0])
+    times = np.arange(M0 + 1) * (cfg.T / M0)
+    A, u0 = selftest.dense_laplacian(d, N), selftest.initial_batch(cfg)[0]
+    heat = np.stack([scipy.linalg.expm(t * A) @ u0 for t in times])
+    stride = incr.shape[1] // M0
+    beta = np.cumsum(incr, axis=1)[:, stride - 1::stride]
+    beta = np.concatenate([np.zeros((cfg.samples, 1)), beta], axis=1)
+    exact = np.exp(cfg.lam * beta - 0.5 * cfg.lam**2 * times)[:, :, None] * heat
+    for (kind, j), (cps, finite) in runs.items():
+        assert finite.all()
+        want = math.sqrt(np.max(np.sum((cps - exact) ** 2, axis=0)) / cfg.samples)
+        if kind is LT:  # exact for linear g, in the package and in the dense steps
+            assert got["lt", j] < 1e-13 and want < 1e-13
+        else:
+            assert abs(got[kind.value, j] - want) <= 1e-10 * want, (kind, j)
+
+
+def closed_form_rms_sup_errors(cfg):
+    """(integrator, level) -> the square root of the largest expected squared
+    error over the checkpoints, for g(v) = lam v against the exact solution.
+    The sine initial data is the first sine mode, mu1 its eigenvalue, and
+    every scheme keeps the field a multiple of it, 1 at u0's peak. At t = m
+    tau, with r = 1 / (1 - tau mu1) and a = (1 + lam^2 tau)^m:
+      SEXP: E err^2 = (e^(lam^2 t) - a) e^(2 mu1 t);
+      SEM:  E err^2 = a r^(2m) - 2 a r^m e^(mu1 t) + e^(lam^2 t) e^(2 mu1 t)."""
+    mu1 = -4 * cfg.d * cfg.N**2 * math.sin(math.pi / (2 * cfg.N)) ** 2
+    M0 = 2 ** path_level(cfg.T, cfg.levels[0])
+    errors = {}
+    for j in cfg.levels:
+        tau = 2.0**-j
+        r = 1 / (1 - tau * mu1)
+        sem, sexp = [], []
+        for t in np.arange(1, M0 + 1) * (cfg.T / M0):
+            m = round(t / tau)
+            a, noise = (1 + cfg.lam**2 * tau) ** m, math.exp(cfg.lam**2 * t)
+            sexp.append((noise - a) * math.exp(2 * mu1 * t))
+            sem.append(a * r ** (2 * m) - 2 * a * r**m * math.exp(mu1 * t)
+                       + noise * math.exp(2 * mu1 * t))
+        errors["sem", j], errors["sexp", j] = math.sqrt(max(sem)), math.sqrt(max(sexp))
+    return errors
+
+
+@pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
+def test_exact_linear_study_follows_the_closed_form_expected_error(d, N):
+    # rms_sup_error / closed form lies within 5 standard errors of 1; the
+    # ratio's standard error at 3000 samples is at most 1.3% (SEM) and 4.9%
+    # (SEXP, coarsest level), from a 200 000-path simulation of the statistic
+    cfg = ConvergenceConfig(d=d, N=N, g_name="linear", lam=1.0, T=0.5, levels=range(3, 10),
+                            ref_level=9, samples=3000, master_seed=42, reference="exact_linear",
+                            integrators=(SEM, SEXP))
+    got = {(row[0], row[5]): row[7] for row in mean_square_error_study(cfg).rows}
+    band = {"sem": 0.07, "sexp": 0.25}
+    for (kind, j), want in closed_form_rms_sup_errors(cfg).items():
+        assert abs(got[kind, j] / want - 1) <= band[kind], (kind, j, got[kind, j] / want)
 
 
 def test_moment_study_non_finite_lt_field_raises(monkeypatch):

@@ -11,6 +11,8 @@ from spde_lab.integrators import exact_linear_array
 from spde_lab.mesh import Grid
 from spde_lab.selftest import dense_laplacian, dense_semigroup
 
+from helpers import frozen, same_bits
+
 
 def sup(v):
     return float(np.max(np.abs(v)))
@@ -267,7 +269,10 @@ def test_solve_rejects_nonpositive_tau():
         HeatFlow(op, 0.0)
 
 
-# -- semigroup_array pinned against the straightforward implementation ------
+# -- semigroup_array pinned against the full per-slice scan -----------------
+# The one copy of package code the tests keep: semigroup_array has a fast
+# path for an all-nonnegative output and falls back to this scan, so the two
+# paths must agree bit for bit, and no oracle sees which one ran.
 
 
 def reference_semigroup_array(op, arr, multipliers, clamp_nonneg=True):
@@ -285,16 +290,6 @@ def reference_semigroup_array(op, arr, multipliers, clamp_nonneg=True):
         raise PositivityDiagnosticsError("reference: genuine negative")
     np.copyto(out, 0.0, where=nonneg & (out < 0.0))
     return out
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def frozen(a):
-    a = np.array(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
 
 
 SLICES = ("spike", "mixed", "zero", "nan", "smooth")

@@ -14,21 +14,19 @@ from spde_lab import selftest
 from spde_lab.experiments import CENSUS_G
 from spde_lab.heat_operator import HeatFlow, HeatOperator
 from spde_lab.integrators import (
-    EXP_ARG_MAX,
     UPDATES,
     IntegratorKind,
     StepContext,
-    _expand_increment,
     evolve,
     exact_linear_array,
-    lt_update,
     run_path,
     sem_update,
-    sexp_update,
 )
 from spde_lab.mesh import Grid, sample_initial, sine_initial
 from spde_lab.nonlinearity import CLI_NAMES, Nonlinearity, from_name
 from spde_lab.noise_paths import coarsen_increments, sample_path
+
+from helpers import frozen, oracle_increments, same_bits
 
 LT, EM, SEM, SEXP = IntegratorKind
 
@@ -257,19 +255,6 @@ def test_step_on_an_overflowing_field_returns_what_run_path_returns(kind):
     assert same_bits(run_path(kind, ctx, u, [0.5]).final, want)
 
 
-def test_run_path_full_trajectory_consistent_with_summary():
-    op, ctx = make((1, 16), "sineplus", 2.5, 0.1)
-    u0 = sample_initial(sine_initial, op.grid)
-    incr = np.random.default_rng(8).normal(0, 0.3, 12)
-    rec = run_path(SEXP, ctx, u0, incr)
-    fields = path_fields(SEXP, ctx, u0, incr)
-    assert len(fields) == 13
-    assert rec.running_min == min(float(f.min()) for f in fields)
-    sups = [float(np.max(np.abs(f))) for f in fields]
-    assert np.allclose(rec.sup_norms, sups, rtol=0, atol=0)
-    assert same_bits(rec.final.reshape(-1), fields[-1])
-
-
 def test_run_path_detects_divergence():
     # explicit Euler far beyond its stability limit explodes; the record
     # flags the first non-finite step and the census classification fails
@@ -325,36 +310,7 @@ def test_moment_sanity_small():
         assert np.mean(acc) <= 5.0
 
 
-# -- LT and SEXP kernels pinned against the straightforward formulas ----------
-
-
-def reference_lt_update(ctx, U, dbeta):
-    db = _expand_increment(dbeta, ctx.op.grid.d)
-    F = ctx.nl.f(U)
-    arg = F * db - F * F * (0.5 * ctx.tau)
-    clamped = int(np.count_nonzero(arg > EXP_ARG_MAX))
-    if clamped:
-        arg = np.minimum(arg, EXP_ARG_MAX)
-    W = U * np.exp(arg)
-    return ctx.heat(W), clamped
-
-
-def reference_sexp_update(ctx, U, dbeta):
-    db = _expand_increment(dbeta, ctx.op.grid.d)
-    return ctx.heat(U + ctx.nl.g(U) * db), 0
-
-
-KERNELS = [(lt_update, reference_lt_update), (sexp_update, reference_sexp_update)]
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def frozen(a):
-    a = np.array(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
+# -- the step kernels against the dense oracle --------------------------------
 
 
 def kernel_batch(d, N, B, nl, tau=2.0**-5, seed=41):
@@ -371,46 +327,58 @@ def kernel_batch(d, N, B, nl, tau=2.0**-5, seed=41):
     return ctx, U, frozen(db)
 
 
-def check_kernel(update, reference, ctx, U, db):
+def check_kernel(kind, ctx, U, db):
+    """UPDATES[kind] against selftest.DenseSteps on the flattened batch: the
+    same non-finite entries, and each finite one within 1e-10 of its row's
+    largest finite |value|. No input is written to."""
     before = [a.copy() for a in (U, db, ctx.semigroup_mult)]
-    got, got_clamped = update(ctx, U, db)
-    want, want_clamped = reference(ctx, U, db)
-    assert same_bits(got, want)
-    assert got_clamped == want_clamped
+    steps = selftest.DenseSteps(selftest.dense_laplacian(ctx.op.grid.d, ctx.op.grid.N), ctx.nl,
+                                ctx.tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, clamped = UPDATES[kind](ctx, U, db)
+        want = steps(kind, U.reshape(len(U), -1), db)
+    got = out.reshape(want.shape)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    scale = np.broadcast_to(np.max(np.abs(np.where(finite, want, 0.0)), axis=1, keepdims=True),
+                            want.shape)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-10 * scale[finite])
     for a, b in zip((U, db, ctx.semigroup_mult), before):
         assert same_bits(a, b)
-    return got, got_clamped
+    return out, clamped
 
 
-@pytest.mark.parametrize("update,reference", KERNELS)
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+@pytest.mark.parametrize("d,N,B,g_name,lam", [
+    (1, 256, 50, "rational", 1.0),
+    (2, 16, 50, "rational", 1.0),
+    # f and f^2 tau/2 overflow: the exponent's limit is -inf, not NaN
+    (1, 64, 4, "sineplus", 1e308),
+])
+def test_update_matches_dense_oracle(kind, d, N, B, g_name, lam):
+    check_kernel(kind, *kernel_batch(d, N, B, from_name(g_name, lam)))
+
+
 @pytest.mark.parametrize("d,N", [(1, 256), (2, 16)])
-def test_update_matches_reference_bitwise(update, reference, d, N):
-    ctx, U, db = kernel_batch(d, N, 50, from_name("rational", 1.0))
-    check_kernel(update, reference, ctx, U, db)
-
-
-@pytest.mark.parametrize("d,N", [(1, 256), (2, 16)])
-def test_lt_update_exponent_clamp_count_matches_reference(d, N):
+def test_lt_update_exponent_clamp_count(d, N):
     # sample 3 has every exponent far above EXP_ARG_MAX, sample 7 far below,
     # and sample 5 carries a NaN, whose exponents are never counted
     ctx, U, db = kernel_batch(d, N, 12, from_name("rational", 1.0))
     U, db = U.copy(), db.copy()
     db[3], db[7] = 5000.0, -5000.0
     U[5][(2,) * d] = np.nan
-    with np.errstate(invalid="ignore"):
-        out, clamped = check_kernel(lt_update, reference_lt_update, ctx, frozen(U), frozen(db))
+    out, clamped = check_kernel(LT, ctx, frozen(U), frozen(db))
     assert clamped == ctx.op.grid.n_interior
     assert np.isfinite(np.delete(out, 5, axis=0)).all()
     assert np.delete(out, 5, axis=0).min() >= 0.0
 
 
-@pytest.mark.parametrize("update,reference", KERNELS)
-def test_update_leaves_shared_coefficient_output_alone(update, reference):
+@pytest.mark.parametrize("kind", list(IntegratorKind))
+def test_update_leaves_shared_coefficient_output_alone(kind):
     # a user coefficient may hand back the same array on every call
     shared = frozen(np.full(63, 0.5))
     nl = Nonlinearity("custom", 0.5, g=lambda v: 0.5 * v, f=lambda v: shared)
-    ctx, U, db = kernel_batch(1, 64, 4, nl)
-    check_kernel(update, reference, ctx, U, db)
+    check_kernel(kind, *kernel_batch(1, 64, 4, nl))
     assert np.all(shared == 0.5)
 
 
@@ -438,7 +406,7 @@ def test_run_path_full_trajectory_entries_are_distinct(kind):
         assert same_bits(values[m + 1], u)
 
 
-# -- evolve and run_path pinned against the hand-written step loop -------------
+# -- evolve, and run_path against the fields evolve visits --------------------
 
 
 def path_fields(kind, ctx, u0, increments):
@@ -450,54 +418,23 @@ def path_fields(kind, ctx, u0, increments):
     return fields
 
 
-def reference_run_path(kind, ctx, u0, increments):
-    """The step loop run_path had before evolve, as an oracle."""
-    update = UPDATES[kind]
-    U = u0
-    running_min = float(np.min(u0))
-    sup_norms = np.empty(increments.size + 1)
-    sup_norms[0] = float(np.max(np.abs(u0)))
-    trajectory = [u0.reshape(-1)]
-    diverged_step = None
-    clamp_events = 0
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for m in range(increments.size):
-            U, clamped = update(ctx, U, increments[m])
-            clamp_events += clamped
-            if diverged_step is None and not np.isfinite(U).all():
-                diverged_step = m
-            running_min = float(np.minimum(running_min, np.min(U)))
-            sup_norms[m + 1] = np.max(np.abs(U))
-            trajectory.append(U.reshape(-1).copy())
-    return running_min, sup_norms, U.reshape(-1), trajectory, diverged_step, clamp_events
-
-
-def oracle_increments(tau, B, M, seed=17):
-    """B paths of M steps: row 1 jumps by 1e300 at step 2, which clamps LT
-    exponents and makes EM overflow within 24 steps at (1, 256), (1, 16)
-    and (2, 16); row 2 turns NaN at step 5."""
-    incr = np.random.default_rng(seed).normal(0.0, math.sqrt(tau), (B, M))
-    incr[1, 2] = 1e300
-    incr[2, 5] = np.nan
-    return incr
-
-
 @pytest.mark.parametrize("kind", list(IntegratorKind))
 @pytest.mark.parametrize("d,N", [(1, 256), (1, 16), (2, 16)])
-def test_run_path_matches_reference_loop_bitwise(kind, d, N):
+def test_run_path_record_matches_the_fields_evolve_visits(kind, d, N):
     op, ctx = make((d, N), "linear", 2.5, 2.0**-5)
     u0 = sample_initial(sine_initial, op.grid)
     outcomes = []
-    for incr in oracle_increments(ctx.tau, 3, 24):
+    for incr in oracle_increments(3, 24):
         rec = run_path(kind, ctx, u0, incr)
-        rmin, sups, final, traj, div_step, clamps = reference_run_path(kind, ctx, u0, incr)
-        assert same_bits(np.float64(rec.running_min), np.float64(rmin))
-        assert same_bits(rec.sup_norms, sups)
-        assert same_bits(rec.final.reshape(-1), final)
-        fields = path_fields(kind, ctx, u0, incr)
-        assert len(fields) == len(traj)
-        assert all(same_bits(a, b) for a, b in zip(fields, traj))
-        assert (rec.diverged_step, rec.clamp_events) == (div_step, clamps)
+        fields = []
+        clamps = evolve(ctx, kind, u0, incr, lambda i, U: fields.append(U.reshape(-1).copy()))
+        fields = np.stack(fields)
+        assert same_bits(np.float64(rec.running_min), np.min(fields))
+        assert same_bits(rec.sup_norms, np.max(np.abs(fields), axis=1))
+        assert same_bits(rec.final.reshape(-1), fields[-1])
+        finite = np.isfinite(fields).all(axis=1)
+        assert rec.diverged_step == (None if finite.all() else int(np.argmin(finite)) - 1)
+        assert rec.clamp_events == clamps
         outcomes.append((rec.diverged_step, rec.clamp_events > 0))
     em = kind is IntegratorKind.EM
     assert outcomes[0] == (None, False)
