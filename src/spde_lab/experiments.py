@@ -330,13 +330,6 @@ def summarize(report: ExperimentReport) -> str:
 # the block loop: scheduling, memory guard, reducers
 
 
-def _blocks(samples: int) -> list[range]:
-    return [
-        range(start, min(start + BLOCK_SAMPLES, samples))
-        for start in range(0, samples, BLOCK_SAMPLES)
-    ]
-
-
 def _workers(samples: int, jobs: int) -> int:
     """Processes that run blocks at once, the calling one included: ``jobs``
     capped at the block count and at the CPUs this process may use; 1
@@ -351,7 +344,7 @@ def _workers(samples: int, jobs: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(jobs, len(_blocks(samples)), cpus))
+    return max(1, min(jobs, -(-samples // BLOCK_SAMPLES), cpus))
 
 
 # The task of a forked worker. It comes through fork, not pickling, because
@@ -377,7 +370,8 @@ def _map_blocks(samples: int, jobs: int, task) -> dict:
     [::w] itself and w - 1 forked workers run the rest; their results come
     back pickled. A worker's exception is raised here, and a worker that
     dies raises BrokenProcessPool."""
-    blocks = _blocks(samples)
+    blocks = [range(start, min(start + BLOCK_SAMPLES, samples))
+              for start in range(0, samples, BLOCK_SAMPLES)]
     w = _workers(samples, jobs)
     total = {}
 

@@ -1,8 +1,9 @@
 """The study and the census rebuilt on dense matrices: the check behind the
 ``selftest`` CLI subcommand and tests/test_dense_oracle.py.
 
-The oracle builds N^2 D^N as a dense matrix A (a Kronecker sum in 2d) and
-steps a batch of flattened fields one step at a time, in dense_checkpoints:
+The oracle builds N^2 D^N as a dense matrix A (a Kronecker sum in 2d). Its
+one run loop, dense_runs, mirrors experiments._coupled_sums (the census
+is its one-level case) and steps flattened fields one step at a time:
 
 * the semigroup is scipy.linalg.expm(tau A), with its roundoff-negative
   entries set to zero (the heat kernel is entrywise nonnegative);
@@ -97,60 +98,59 @@ class DenseSteps:
         return (U + self.nl.g(U) * db) @ self.E.T
 
 
-def initial_batch(cfg) -> np.ndarray:
+def dense_runs(cfg, fine_level, g_names, levels, integrators=None, cp_level=None) -> dict:
+    """(g, kind, level) -> (checkpoints, finite) of every sample of cfg, run
+    as experiments._coupled_sums runs them: paths drawn once at fine_level
+    and coarsened once per level, one DenseSteps per (level, g) stepping each
+    of integrators (default cfg.integrators) from one initial batch. The
+    checkpoints, u0 first, fall at cp_level's step times (default min(levels))."""
+    path_fine = path_level(cfg.T, fine_level)
+    incr = sample_increment_batch(cfg.T, path_fine, cfg.master_seed, range(cfg.samples))
+    A = dense_laplacian(cfg.d, cfg.N)
     u0 = sample_initial(sine_initial, Grid(cfg.d, cfg.N)).reshape(-1)
-    return np.tile(u0, (cfg.samples, 1))
+    start = np.tile(u0, (cfg.samples, 1))
+    M0 = 2 ** path_level(cfg.T, min(levels) if cp_level is None else cp_level)
+    runs = {}
+    for j in levels:
+        incr_j = coarsen_increments(incr, path_fine, path_level(cfg.T, j))
+        stride = incr_j.shape[1] // M0
+        for g in g_names:
+            steps = DenseSteps(A, from_name(g, cfg.lam), 2.0**-j)
+            for kind in integrators or cfg.integrators:
+                U, cps = start, [start]
+                with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                    for m in range(incr_j.shape[1]):
+                        U = steps(kind, U, incr_j[:, m])
+                        if (m + 1) % stride == 0:
+                            cps.append(U)
+                cps = np.stack(cps, axis=1)
+                runs[g, kind, j] = cps, np.isfinite(cps[:, 1:]).all(axis=(1, 2))
+    return runs
 
 
 def dense_census(cfg: CensusConfig) -> dict:
-    """(integrator, g) -> (positive, diverged) over cfg.samples paths."""
-    level = path_level(cfg.T, cfg.level)
-    incr = sample_increment_batch(cfg.T, level, cfg.master_seed, range(cfg.samples))
-    A = dense_laplacian(cfg.d, cfg.N)
+    """(integrator, g) -> (positive, diverged) over cfg.samples paths: the
+    one-level case of dense_runs, a checkpoint at every step."""
     counts = {}
-    for g in cfg.g_names:
-        steps = DenseSteps(A, from_name(g, cfg.lam), cfg.tau)
-        for kind in cfg.integrators:
-            cps, finite = dense_checkpoints(steps, kind, initial_batch(cfg), incr, 1)
-            positive = finite & (cps.min(axis=(1, 2)) >= 0.0)
-            counts[kind.value, g] = (int(positive.sum()), int((~finite).sum()))
+    runs = dense_runs(cfg, cfg.level, cfg.g_names, (cfg.level,))
+    for (g, kind, _), (cps, finite) in runs.items():
+        positive = finite & (cps.min(axis=(1, 2)) >= 0.0)
+        counts[kind.value, g] = (int(positive.sum()), int((~finite).sum()))
     return counts
-
-
-def dense_checkpoints(steps, kind, U, incr, stride):
-    """The fields at every stride-th step, the initial one included, and
-    the samples finite at every checkpoint after it."""
-    cps = [U]
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for m in range(incr.shape[1]):
-            U = steps(kind, U, incr[:, m])
-            if (m + 1) % stride == 0:
-                cps.append(U)
-    cps = np.stack(cps, axis=1)
-    return cps, np.isfinite(cps[:, 1:]).all(axis=(1, 2))
 
 
 def dense_study(cfg: ConvergenceConfig) -> dict:
     """(integrator, level) -> sup-over-(time, space) RMS error against LT
     at cfg.ref_level on the same paths."""
-    fine = path_level(cfg.T, cfg.ref_level)
-    incr = sample_increment_batch(cfg.T, fine, cfg.master_seed, range(cfg.samples))
-    A = dense_laplacian(cfg.d, cfg.N)
-    nl = from_name(cfg.g_name, cfg.lam)
-    M0 = 2 ** path_level(cfg.T, cfg.levels[0])
-    ref, ref_finite = dense_checkpoints(DenseSteps(A, nl, 2.0**-cfg.ref_level), LT,
-                                        initial_batch(cfg), incr, incr.shape[1] // M0)
+    g_names = (cfg.g_name,)
+    ref, ref_finite = dense_runs(cfg, cfg.ref_level, g_names, (cfg.ref_level,), (LT,),
+                                 cfg.levels[0])[cfg.g_name, LT, cfg.ref_level]
     errors = {}
-    for j in cfg.levels:
-        incr_j = coarsen_increments(incr, fine, path_level(cfg.T, j))
-        steps = DenseSteps(A, nl, 2.0**-j)
-        for kind in cfg.integrators:
-            cps, finite = dense_checkpoints(steps, kind, initial_batch(cfg), incr_j,
-                                            incr_j.shape[1] // M0)
-            ok = finite & ref_finite
-            diff = cps[ok] - ref[ok]
-            sq = np.sum(diff * diff, axis=0)
-            errors[kind.value, j] = math.sqrt(float(sq.max()) / ok.sum()) if ok.any() else math.nan
+    for (_, kind, j), (cps, finite) in dense_runs(cfg, cfg.ref_level, g_names, cfg.levels).items():
+        ok = finite & ref_finite
+        diff = cps[ok] - ref[ok]
+        sq = np.sum(diff * diff, axis=0)
+        errors[kind.value, j] = math.sqrt(float(sq.max()) / ok.sum()) if ok.any() else math.nan
     return errors
 
 

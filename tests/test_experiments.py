@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
@@ -662,8 +663,9 @@ def test_config_echo_lists_every_field_but_the_seed_in_order(tmp_path):
     assert mesh.config_echo["N"] == "8,16"
 
 
-# -- the census and the studies against the dense oracle; _run_checkpointed
-# against the fields evolve visits
+# -- the census and the studies against the dense oracle, whose one run loop,
+# selftest.dense_runs, mirrors _coupled_sums (the census is its one-level
+# case); _run_checkpointed against the fields evolve visits
 
 
 ORACLE_SHAPES = [(1, 256), (1, 16), (2, 16)]
@@ -712,23 +714,6 @@ def test_run_checkpointed_stores_the_fields_at_every_stride_th_step(stride, d, N
     assert finite.tolist() == [True, kind is not EM, False, True]
 
 
-def dense_runs(cfg, fine_level):
-    """(kind, level) -> selftest.dense_checkpoints of every sample of cfg,
-    on the paths the drivers draw at fine_level, and those paths."""
-    incr = experiments.sample_increment_batch(cfg.T, fine_level, cfg.master_seed,
-                                              range(cfg.samples))
-    A = selftest.dense_laplacian(cfg.d, cfg.N)
-    M0 = 2 ** path_level(cfg.T, cfg.levels[0])
-    runs = {}
-    for j in cfg.levels:
-        incr_j = experiments.coarsen_increments(incr, fine_level, path_level(cfg.T, j))
-        steps = selftest.DenseSteps(A, from_name(cfg.g_name, cfg.lam), 2.0**-j)
-        for kind in cfg.integrators:
-            runs[kind, j] = selftest.dense_checkpoints(steps, kind, selftest.initial_batch(cfg),
-                                                       incr_j, incr_j.shape[1] // M0)
-    return runs, incr
-
-
 @pytest.mark.parametrize("d,N", [(1, 16), (2, 8)])
 def test_moment_study_matches_dense_lt_runs(d, N):
     cfg = ConvergenceConfig(d=d, N=N, g_name="rational", lam=1.5, levels=(3, 4, 5),
@@ -737,9 +722,9 @@ def test_moment_study_matches_dense_lt_runs(d, N):
     forked = moment_bound_study(cfg, jobs=3)
     assert list(got) == list(forked) == [3, 4, 5]
     assert all(same_bits(got[j], forked[j]) for j in got)
-    runs, _ = dense_runs(cfg, path_level(cfg.T, max(cfg.levels)))
+    runs = selftest.dense_runs(cfg, max(cfg.levels), (cfg.g_name,), cfg.levels)
     for j in cfg.levels:
-        cps, finite = runs[LT, j]
+        cps, finite = runs["rational", LT, j]
         assert finite.all()
         want = np.max(np.sum(cps * cps, axis=0), axis=1) / cfg.samples
         np.testing.assert_allclose(got[j], want, rtol=1e-10, atol=0)
@@ -755,17 +740,20 @@ def test_exact_linear_study_matches_dense_runs(d, N):
     assert rep.rows == forked.rows and rep.slopes == forked.slopes
     assert not rep.diverged
     got = {(row[0], row[5]): row[7] for row in rep.rows}
-    runs, incr = dense_runs(cfg, path_level(cfg.T, cfg.ref_level))
+    runs = selftest.dense_runs(cfg, cfg.ref_level, ("linear",), cfg.levels)
+    incr = experiments.sample_increment_batch(cfg.T, path_level(cfg.T, cfg.ref_level),
+                                              cfg.master_seed, range(cfg.samples))
     # the exact solution expm(t A) u0 exp(lam beta(t) - lam^2 t / 2) at the checkpoints
     M0 = 2 ** path_level(cfg.T, cfg.levels[0])
     times = np.arange(M0 + 1) * (cfg.T / M0)
-    A, u0 = selftest.dense_laplacian(d, N), selftest.initial_batch(cfg)[0]
+    A = selftest.dense_laplacian(d, N)
+    u0 = sample_initial(sine_initial, Grid(d, N)).reshape(-1)
     heat = np.stack([scipy.linalg.expm(t * A) @ u0 for t in times])
     stride = incr.shape[1] // M0
     beta = np.cumsum(incr, axis=1)[:, stride - 1::stride]
     beta = np.concatenate([np.zeros((cfg.samples, 1)), beta], axis=1)
     exact = np.exp(cfg.lam * beta - 0.5 * cfg.lam**2 * times)[:, :, None] * heat
-    for (kind, j), (cps, finite) in runs.items():
+    for (_, kind, j), (cps, finite) in runs.items():
         assert finite.all()
         want = math.sqrt(np.max(np.sum((cps - exact) ** 2, axis=0)) / cfg.samples)
         if kind is LT:  # exact for linear g, in the package and in the dense steps
@@ -953,7 +941,7 @@ def test_map_blocks_parent_runs_every_wth_block(four_cpu_machine, jobs):
         samples = experiments.BLOCK_SAMPLES * n_blocks - 7  # a short last block
         total = experiments._map_blocks(samples, jobs, pid_task)
         w = min(jobs, n_blocks)
-        assert total["starts"] == [b.start for b in experiments._blocks(samples)]
+        assert total["starts"] == list(range(0, samples, experiments.BLOCK_SAMPLES))
         in_parent = [pid == os.getpid() for pid in total["pids"]]
         assert in_parent == [i % w == 0 for i in range(n_blocks)], (jobs, n_blocks)
         assert len(set(total["pids"])) <= w  # a worker may take several blocks
@@ -991,6 +979,17 @@ def test_worker_count_is_capped_at_the_cpus(four_cpu_machine, eight_gb_machine, 
     # the memory guard counts the same blocks in flight
     with pytest.raises(ValueError, match=re.escape("4 block(s) in flight")):
         experiments._check_memory(CensusConfig(samples=250_000), 5000, 24)
+
+
+def test_worker_count_builds_no_block_list(four_cpu_machine, fake_pool):
+    # listing the 200,000 blocks took 24 MB, and a MemoryError before the guard's verdict
+    tracemalloc.start()
+    try:
+        assert experiments._workers(10**7, 3) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @needs_fork
